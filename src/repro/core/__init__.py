@@ -14,7 +14,6 @@ from repro.core.gcf import gcf_order, rapidmatch_order
 from repro.core.ldsf import ldsf_order
 from repro.core.plan import Plan, assemble_plan
 from repro.core.executor import MatchOptions, MatchResult, execute
-from repro.core.counting import count_embeddings
 from repro.core.csce import CSCE, PLANNERS
 from repro.core.cost import cost_based_order
 from repro.core.continuous import (
@@ -40,7 +39,6 @@ __all__ = [
     "MatchOptions",
     "MatchResult",
     "execute",
-    "count_embeddings",
     "CSCE",
     "PLANNERS",
     "cost_based_order",

@@ -11,8 +11,8 @@ The engine separates the *logical* plan (what each step must check — see
   executor (explicit frame stack, no Python recursion; limits are
   cooperative flags, not exceptions);
 * :class:`EmbeddingStream` streams embeddings lazily (``CSCE.match_iter``);
-* :func:`count_physical` is the SCE-factorized counting terminal over the
-  same operators;
+  counting runs the same loop (:func:`search`) in count mode, multiplying
+  at the plan's compile-time :class:`ProductPoints` (SCE factorization);
 * :class:`MatchSession` holds a store plus an LRU cache of compiled plans,
   shared by enumeration, counting, continuous matching, and baselines;
 * :class:`ResourceGovernor` enforces a unified :class:`Budget` (deadline,
@@ -53,6 +53,7 @@ from repro.engine.governor import (
 from repro.engine.physical import (
     ExtendOp,
     PhysicalPlan,
+    ProductPoints,
     compile_plan,
     pattern_fingerprint,
 )
@@ -62,7 +63,9 @@ from repro.engine.executor import (
     Runtime,
     SearchState,
     count_capped,
+    count_physical,
     execute_physical,
+    search,
     stream,
 )
 from repro.engine.checkpoint import (
@@ -85,7 +88,6 @@ from repro.engine.pool import (
     execute_parallel,
     resume_parallel,
 )
-from repro.engine.counting import FactorizedCounter, count_physical
 from repro.engine.session import (
     PLANNERS,
     CompiledQuery,
@@ -130,16 +132,17 @@ __all__ = [
     "resume_parallel",
     "ExtendOp",
     "PhysicalPlan",
+    "ProductPoints",
     "compile_plan",
     "pattern_fingerprint",
     "CandidateComputer",
     "EmbeddingStream",
     "Runtime",
     "count_capped",
-    "execute_physical",
-    "stream",
-    "FactorizedCounter",
     "count_physical",
+    "execute_physical",
+    "search",
+    "stream",
     "PLANNERS",
     "CompiledQuery",
     "MatchSession",

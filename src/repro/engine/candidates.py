@@ -12,6 +12,10 @@ the same ``spec_id`` and therefore share cached candidate sets.
 The computer consumes :class:`~repro.engine.physical.ExtendOp` operators —
 constraints and negations arrive as prebound ``(prior, fetch)`` pairs, so
 the hot loop is two function calls and an intersection per constraint.
+
+It also keeps factorized counting's *region memo* (a region's count per
+:meth:`~repro.engine.physical.ProductPoints.region_key`), so both caches
+share one bound (``memo_limit`` entries each) and one degradation ladder.
 """
 
 from __future__ import annotations
@@ -44,40 +48,55 @@ class CandidateComputer:
         #: per-depth memo hit/miss events; ``None`` keeps the hot path free.
         self._profile = profile
         self._memo: dict[tuple, np.ndarray] = {}
+        self._regions: dict[tuple, int] = {}
 
     def clear(self) -> None:
         self._memo.clear()
+        self._regions.clear()
 
     @property
     def memo_size(self) -> int:
         """Number of cached candidate sets."""
         return len(self._memo)
 
-    def evict(self, fraction: float = 0.5) -> int:
-        """Drop the oldest ``fraction`` of memo entries; returns how many.
+    def region(self, key: tuple | None) -> int | None:
+        """The memoized count of a region, or ``None``."""
+        return self._regions.get(key) if key is not None else None
 
-        The memo is an insertion-ordered dict, so dropping the front is an
+    def remember_region(self, key: tuple | None, count: int) -> None:
+        """Memoize a region count (``None`` keys are never cached)."""
+        if key is not None and self.use_sce and len(self._regions) < self.memo_limit:
+            self._regions[key] = count
+
+    def evict(self, fraction: float = 0.5) -> int:
+        """Drop the oldest ``fraction`` of both memos; returns how many.
+
+        Each memo is an insertion-ordered dict, so dropping the front is an
         LRU approximation (old entries were keyed by prior assignments the
         search has likely backtracked past). Like CEMR's redundant
         extensions, every memo entry is a pure cache — dropping any subset
         only costs recomputation, never correctness — which is what makes
         degrade-under-pressure safe.
         """
-        n = int(len(self._memo) * fraction)
-        if n <= 0:
-            return 0
-        for key in list(self._memo.keys())[:n]:
-            del self._memo[key]
-        return n
+        evicted = 0
+        memos: tuple[dict, ...] = (self._memo, self._regions)
+        for memo in memos:
+            n = int(len(memo) * fraction)
+            for key in list(memo)[:n]:
+                del memo[key]
+            evicted += n
+        return evicted
 
     def disable_memo(self) -> None:
-        """Turn memoization off for the rest of the run and free the cache
-        (the degradation ladder's second rung). Candidate computation
-        continues uncached; ``memo_misses`` stops advancing so the stats
-        still distinguish degraded runs from ``use_sce=False`` runs only
-        by their nonzero history."""
+        """Turn memoization off for the rest of the run and free both
+        caches (the degradation ladder's second rung). Candidate
+        computation continues uncached and factorized counts still
+        multiply, recounting repeated regions; ``memo_misses`` stops
+        advancing so the stats still distinguish degraded runs from
+        ``use_sce=False`` runs only by their nonzero history."""
         self.use_sce = False
         self._memo.clear()
+        self._regions.clear()
 
     def raw(self, op: ExtendOp, assignment: list[int]) -> np.ndarray:
         """The sorted raw candidate array of ``op.u`` under the current

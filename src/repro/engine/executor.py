@@ -6,7 +6,7 @@ through :class:`~repro.engine.candidates.CandidateComputer`. The search is
 driven by an explicit per-depth frame stack — no Python recursion — which
 buys four things the old recursive interpreter could not offer:
 
-* **streaming**: :func:`stream` is a plain generator over the frame stack,
+* **streaming**: :func:`search` is a plain generator over the frame stack,
   so :class:`EmbeddingStream` (behind ``CSCE.match_iter``) yields
   embeddings lazily, one ``next()`` at a time, with the search suspended
   in between;
@@ -22,8 +22,11 @@ buys four things the old recursive interpreter could not offer:
   needs 2000 stack frames under recursion; here it needs three parallel
   arrays of length 2000.
 
-Counting runs share the same :class:`Runtime`; factorized counting lives in
-:mod:`repro.engine.counting` on its own frame machine. Resource governance
+One loop, :func:`search`, serves every mode: it yields embeddings in emit
+mode and counts them in count mode, where a region's last position is
+counted in bulk and, when the run allows it, independent regions multiply
+at the plan's compile-time product points (SCE count factorization,
+:class:`~repro.engine.physical.ProductPoints`). Resource governance
 (budgets, the degradation ladder, cancel tokens) is polled at tick
 boundaries via :class:`repro.engine.governor.ResourceGovernor`; the
 ``engine.tick`` fault site fires at the same cadence for the chaos suite.
@@ -33,13 +36,22 @@ from __future__ import annotations
 
 import logging
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from typing import TYPE_CHECKING, Iterator
 
 from repro.engine.candidates import CandidateComputer
-from repro.engine.physical import PhysicalPlan, compile_plan
+from repro.engine.physical import (
+    DONE,
+    LEAF,
+    PRODUCT,
+    PhysicalPlan,
+    ProductPoints,
+    compile_plan,
+    flat_points,
+)
 from repro.engine.results import (
     MatchOptions,
     MatchResult,
@@ -104,7 +116,7 @@ def specialize(physical: PhysicalPlan, options: MatchOptions) -> PhysicalPlan:
 class SearchState:
     """The enumeration frame stack, extracted so it can be checkpointed.
 
-    Everything :func:`stream` mutates between two yields lives here: the
+    Everything :func:`search` mutates between two yields lives here: the
     partial ``assignment`` (pattern vertex → data vertex, ``-1`` unbound),
     the injectivity ``used`` set, the per-depth candidate lists ``values``
     (``None`` = depth not yet entered), scan cursors ``index``, backtrack
@@ -166,8 +178,9 @@ class SearchState:
 class Runtime:
     """Mutable per-run execution state: counters, limits, instruments.
 
-    Shared by the streaming generator and the counting fast path so both
-    report identical :data:`~repro.obs.counters.STAT_KEYS` semantics. When
+    Shared by every mode of :func:`search`, so streams, flat counts and
+    factorized counts report identical
+    :data:`~repro.obs.counters.STAT_KEYS` semantics. When
     a :class:`~repro.engine.governor.ResourceGovernor` is attached, its
     budget folds into the deadline/cap (tightest wins) and its
     memory/cancellation checks run at tick boundaries; ``degradation`` and
@@ -184,6 +197,8 @@ class Runtime:
         "backtracks",
         "prunes_injective",
         "prunes_restriction",
+        "factorizations",
+        "group_memo_hits",
         "truncated",
         "timed_out",
         "stop_reason",
@@ -192,6 +207,7 @@ class Runtime:
         "max_embeddings",
         "progress",
         "search_state",
+        "chain",
         "_deadline",
         "_heartbeat",
         "_recorder",
@@ -218,6 +234,8 @@ class Runtime:
         self.backtracks = 0
         self.prunes_injective = 0
         self.prunes_restriction = 0
+        self.factorizations = 0
+        self.group_memo_hits = 0
         self.truncated = False
         self.timed_out = False
         self.stop_reason: str | None = None
@@ -246,9 +264,11 @@ class Runtime:
             obs.attach_progress(self.progress)
         else:
             self.progress = None
-        #: The live frame stack, published by stream()/count_capped() so
-        #: the tick-time progress probe can read the candidate cursors.
+        #: The live frame stack, published by search() so the tick-time
+        #: progress probe can read the candidate cursors — of the first
+        #: ``chain`` positions, the ones before any product point.
         self.search_state: SearchState | None = None
+        self.chain = 0
         # Under fault injection every tick must reach the fault site, so
         # the periodic work runs densely; in production it is amortized.
         self._interval = 1 if faults.active() else _TIME_CHECK_INTERVAL
@@ -303,7 +323,7 @@ class Runtime:
         self.nodes += 1
         if self._ticking and self.nodes % self._interval == 0:
             if self.search_state is not None:
-                # stream() keeps `pos` in a local for speed and only syncs
+                # search() keeps `pos` in a local for speed and only syncs
                 # it at suspension points; sync it here too so anything
                 # sampled at a tick (the progress probe, an on-demand
                 # checkpoint from the inspector) sees a consistent state.
@@ -323,8 +343,11 @@ class Runtime:
             progress = self.progress
             if progress is not None and self.search_state is not None:
                 state = self.search_state
+                chain = self.chain
                 progress.update(
-                    search_state_fraction(state.values, state.index)
+                    search_state_fraction(
+                        state.values[:chain], state.index[:chain]
+                    )
                 )
             if self._heartbeat.enabled:
                 self._heartbeat.beat(
@@ -373,6 +396,8 @@ class Runtime:
             backtracks=self.backtracks,
             prunes_injective=self.prunes_injective,
             prunes_restriction=self.prunes_restriction,
+            factorizations=self.factorizations,
+            group_memo_hits=self.group_memo_hits,
         )
 
     def progress_snapshot(self, complete: bool = False) -> dict | None:
@@ -386,14 +411,90 @@ class Runtime:
         return self.progress.as_dict()
 
 
-def stream(
-    physical: PhysicalPlan, runtime: Runtime, state: SearchState | None = None
+class _Product:
+    """One live product point: the counts of its groups multiply.
+
+    ``base`` is the running count when the product was entered; each
+    group is searched from there and rewound after, so ``emitted`` stays
+    one additive counter for every frame outside the product."""
+
+    __slots__ = ("ret", "base", "acc", "heads", "next", "key", "searching")
+
+    def __init__(self, ret: int, base: int, heads: tuple[int, ...]) -> None:
+        self.ret = ret
+        self.base = base
+        self.acc = 1
+        self.heads = heads
+        self.next = 0
+        self.key: tuple | None = None
+        self.searching = False
+
+
+def _advance_product(
+    products: list[_Product],
+    runtime: Runtime,
+    state: SearchState,
+    points: ProductPoints,
+) -> int:
+    """Step the innermost product: fold in the group just searched, take
+    memoized groups, and return the next group's first position — or,
+    once every group is counted (or one counted zero), commit the product
+    to ``emitted`` and return the position that resumes scanning."""
+    frame = products[-1]
+    computer = runtime.computer
+    if frame.searching:
+        count = runtime.emitted - frame.base
+        runtime.emitted = frame.base
+        computer.remember_region(frame.key, count)
+        frame.acc *= count
+        frame.searching = False
+    heads = frame.heads
+    while frame.acc and frame.next < len(heads):
+        head = heads[frame.next]
+        frame.next += 1
+        key = (
+            points.region_key(head, state.assignment, state.used)
+            if computer.use_sce
+            else None
+        )
+        cached = computer.region(key)
+        if cached is None:
+            frame.key = key
+            frame.searching = True
+            return head
+        runtime.group_memo_hits += 1
+        frame.acc *= cached
+    products.pop()
+    runtime.emitted = frame.base + frame.acc
+    return frame.ret
+
+
+def search(
+    physical: PhysicalPlan,
+    runtime: Runtime,
+    state: SearchState | None = None,
+    emit: bool = True,
+    factorize: bool = False,
 ) -> Iterator[tuple[int, ...]]:
-    """Iteratively enumerate embeddings; yields tuples indexed by pattern
-    vertex id. Cooperative: on a limit, sets ``runtime.stop_reason`` and
-    returns. Pass a restored :class:`SearchState` to resume a checkpointed
-    search mid-frame; the state is kept current at every suspension point.
+    """The search loop, in emit or count mode.
+
+    Emit mode yields each embedding as a tuple indexed by pattern vertex.
+    Count mode yields nothing and leaves the count in ``runtime.emitted``;
+    it counts a region's last position in bulk, ``len(vals) - |used ∩
+    vals|``, unless the op has restrictions or a pin or the remaining cap
+    could end mid-leaf. With ``factorize`` (count mode only, see
+    :func:`factorizable`) it also multiplies independent regions at the
+    plan's :attr:`~repro.engine.physical.PhysicalPlan.product_points`,
+    memoizing each region's count. Otherwise the search walks the flat
+    chain of positions, so its :class:`SearchState` is checkpointable and
+    splittable at every tick. Cooperative: on a limit, sets
+    ``runtime.stop_reason`` and returns; pass a restored state to resume a
+    flat search mid-frame.
     """
+    if factorize and (emit or state is not None):
+        # Products exist only in count mode, and their frames are not part
+        # of the checkpointable state.
+        raise ValueError("only a fresh count can factorize")
     if physical.impossible():
         return
     ops = physical.ops
@@ -402,18 +503,28 @@ def stream(
         return
     if n == 0:
         runtime.emitted += 1
-        yield ()
+        if emit:
+            yield ()
         return
     if state is None:
         state = SearchState.fresh(n)
+    points = physical.product_points if factorize else flat_points(n)
     # Publish the frame stack for the tick-time progress probe (the probe
     # reads the same list objects the loop mutates below).
     runtime.search_state = state
+    runtime.chain = points.chain
     # Hot path: everything the loop touches is bound to locals.
     raw = runtime.computer.raw
     injective = physical.injective
     max_embeddings = runtime.max_embeddings
     profile = runtime.profile
+    phase = "enumerate" if emit else "count"
+    nxt = points.next
+    back = points.back
+    bulk = [
+        not emit and nxt[op.pos] == LEAF and not op.restrictions and op.pin is None
+        for op in ops
+    ]
     assignment = state.assignment
     used = state.used
     add, discard = used.add, used.discard
@@ -423,6 +534,11 @@ def stream(
     index = state.index
     emitted_at = state.emitted_at
     pos = state.pos
+    products: list[_Product] = []
+    if points.top:
+        runtime.factorizations += 1
+        products.append(_Product(DONE, runtime.emitted, points.top))
+        pos = _advance_product(products, runtime, state, points)
     try:
         while pos >= 0:
             op = ops[pos]
@@ -430,11 +546,33 @@ def stream(
             if vals is None:
                 # Entering this depth fresh: one tick per expansion, exactly
                 # like one recursive extend() call.
-                if not runtime.tick(pos):
+                if not runtime.tick(pos, phase):
                     return
                 candidates = raw(op, assignment)
                 if profile is not None:
                     profile.visit(pos, candidates.shape[0])
+                if bulk[pos] and (
+                    max_embeddings is None
+                    or max_embeddings - runtime.emitted > candidates.shape[0]
+                ):
+                    # A region's last position: count every candidate at
+                    # once, with the same prune/backtrack accounting as
+                    # the per-candidate scan below.
+                    found = candidates.shape[0]
+                    if injective and used:
+                        clashes = len(used.intersection(candidates.tolist()))
+                        runtime.prunes_injective += clashes
+                        found -= clashes
+                    if found:
+                        runtime.emitted += found
+                    else:
+                        runtime.backtracks += 1
+                        if profile is not None:
+                            profile.backtrack(pos)
+                    pos = back[pos]
+                    if pos == PRODUCT:
+                        pos = _advance_product(products, runtime, state, points)
+                    continue
                 pin = op.pin
                 if pin is not None:
                     vals = [pin] if _contains_sorted(candidates, pin) else []
@@ -471,130 +609,81 @@ def stream(
                     if profile is not None:
                         profile.backtrack(pos)
                 values[pos] = None
-                pos -= 1
+                pos = back[pos]
+                if pos == PRODUCT:
+                    pos = _advance_product(products, runtime, state, points)
                 continue
             assignment[u] = chosen
             if injective:
                 add(chosen)
-            if pos + 1 == n:
+            target = nxt[pos]
+            if target >= 0:
+                pos = target
+                continue
+            if target == LEAF:
                 runtime.emitted += 1
-                state.pos = pos
-                yield tuple(assignment)
+                if emit:
+                    state.pos = pos
+                    yield tuple(assignment)
                 if max_embeddings is not None and runtime.emitted >= max_embeddings:
                     runtime.truncated = True
                     runtime.stop_reason = STOP_EMBEDDING_LIMIT
                     runtime.note_stop(STOP_EMBEDDING_LIMIT, pos)
                     return
                 continue
-            pos += 1
+            # A product point: the rest splits into independent groups.
+            runtime.factorizations += 1
+            products.append(_Product(pos, runtime.emitted, points.groups[pos]))
+            pos = _advance_product(products, runtime, state, points)
     finally:
         # Keep the checkpointable state current on every exit path: limit
         # stops, exhaustion (pos == -1), and generator close().
         state.pos = pos
+        if products:
+            # Stopped inside a product: keep only the count committed
+            # before it, which never overcounts.
+            runtime.emitted = products[0].base
+
+
+def stream(
+    physical: PhysicalPlan, runtime: Runtime, state: SearchState | None = None
+) -> Iterator[tuple[int, ...]]:
+    """Iteratively enumerate embeddings (:func:`search` in emit mode)."""
+    return search(physical, runtime, state)
 
 
 def count_capped(
     physical: PhysicalPlan,
     runtime: Runtime,
     state: SearchState | None = None,
+    factorize: bool = False,
 ) -> int:
-    """Count embeddings without yielding — the fast path for capped,
-    restricted, or seeded counting runs (no per-embedding generator
-    hand-off). Same frame machine as :func:`stream`.
+    """Count embeddings (:func:`search` in count mode); returns
+    ``runtime.emitted``.
 
-    Pass a restored :class:`SearchState` to resume mid-frame — the path
-    pool workers use to execute a portable
-    :mod:`~repro.engine.workunit` payload. The state's ``pos`` is kept
-    current on every exit (limit stops and exhaustion), so a stopped
-    count is itself re-shardable.
+    ``factorize`` multiplies independent regions at the plan's product
+    points; it needs an uncapped, unrestricted, unseeded run
+    (:func:`factorizable`). Without it the count runs on the flat chain:
+    the path pool workers use to execute a portable
+    :mod:`~repro.engine.workunit` payload, since the state's ``pos`` is
+    kept current on every exit and a stopped count is itself
+    re-shardable.
     """
-    if physical.impossible():
-        return 0
-    ops = physical.ops
-    n = len(ops)
-    if not runtime.preflight():
-        return 0
-    if n == 0:
-        runtime.emitted += 1
-        return runtime.emitted
-    raw = runtime.computer.raw
-    injective = physical.injective
-    max_embeddings = runtime.max_embeddings
-    profile = runtime.profile
-    if state is None:
-        state = SearchState.fresh(n)
-    assignment = state.assignment
-    used = state.used
-    add, discard = used.add, used.discard
-    values = state.values
-    index = state.index
-    emitted_at = state.emitted_at
-    pos = state.pos
-    # Publish the loop's live lists so the progress probe (and a pool
-    # worker's split listener) sees the cursors.
-    runtime.search_state = state
-    try:
-        while pos >= 0:
-            op = ops[pos]
-            vals = values[pos]
-            if vals is None:
-                if not runtime.tick(pos, phase="count"):
-                    return runtime.emitted
-                candidates = raw(op, assignment)
-                if profile is not None:
-                    profile.visit(pos, candidates.shape[0])
-                pin = op.pin
-                if pin is not None:
-                    vals = [pin] if _contains_sorted(candidates, pin) else []
-                else:
-                    vals = candidates.tolist()
-                values[pos] = vals
-                index[pos] = 0
-                emitted_at[pos] = runtime.emitted
-            u = op.u
-            if assignment[u] != -1:
-                if injective:
-                    discard(assignment[u])
-                assignment[u] = -1
-            i = index[pos]
-            restrictions = op.restrictions
-            chosen = -1
-            while i < len(vals):
-                v = vals[i]
-                i += 1
-                if injective and v in used:
-                    runtime.prunes_injective += 1
-                    continue
-                if restrictions and not _satisfies(v, assignment, restrictions):
-                    runtime.prunes_restriction += 1
-                    continue
-                chosen = v
-                break
-            index[pos] = i
-            if chosen < 0:
-                if runtime.emitted == emitted_at[pos]:
-                    runtime.backtracks += 1
-                    if profile is not None:
-                        profile.backtrack(pos)
-                values[pos] = None
-                pos -= 1
-                continue
-            assignment[u] = chosen
-            if injective:
-                add(chosen)
-            if pos + 1 == n:
-                runtime.emitted += 1
-                if max_embeddings is not None and runtime.emitted >= max_embeddings:
-                    runtime.truncated = True
-                    runtime.stop_reason = STOP_EMBEDDING_LIMIT
-                    runtime.note_stop(STOP_EMBEDDING_LIMIT, pos)
-                    return runtime.emitted
-                continue
-            pos += 1
-        return runtime.emitted
-    finally:
-        # Mirror stream(): the state stays resumable on every exit path.
-        state.pos = pos
+    for _ in search(physical, runtime, state, emit=False, factorize=factorize):
+        pass
+    return runtime.emitted
+
+
+def factorizable(physical: PhysicalPlan, runtime: Runtime) -> bool:
+    """Whether a count may multiply independent regions. A cap needs
+    results counted one by one up to it (the 1e5-cap convention of
+    existing works), and restrictions or pins couple the regions."""
+    return (
+        runtime.computer.use_sce
+        and runtime.max_embeddings is None
+        and not physical.restrictions
+        and not physical.has_pins
+    )
 
 
 class EmbeddingStream:
@@ -750,11 +839,11 @@ def execute_physical(
 ) -> MatchResult:
     """Run a compiled plan to completion and package the result.
 
-    Counting runs go through the SCE-factorized counter when eligible
-    (uncapped, unrestricted, unseeded); every other run drives the
-    iterative frame machine. Limits surface as ``stop_reason`` (plus the
-    legacy ``truncated``/``timed_out`` flags) with the partial count,
-    never as exceptions.
+    Every run drives :func:`search`: enumeration in emit mode, counting in
+    count mode, multiplying at the plan's product points when
+    :func:`factorizable` (uncapped, unrestricted, unseeded). Limits
+    surface as ``stop_reason`` (plus the legacy ``truncated``/
+    ``timed_out`` flags) with the partial count, never as exceptions.
     """
     options = options or MatchOptions()
     if options.workers > 1:
@@ -768,12 +857,7 @@ def execute_physical(
     physical = specialize(physical, options)
     plan = physical.logical
     start = time.perf_counter()
-    truncated = False
-    timed_out = False
-    stop_reason: str | None = None
-    degradation: list[str] = []
     embeddings: list[dict[int, int]] | None = None
-    progress: dict | None = None
 
     recorder = getattr(obs, "recorder", NULL_RECORDER)
     if recorder.enabled:
@@ -785,60 +869,30 @@ def execute_physical(
         )
 
     gov = options.governor
-    # Exact SCE-factorized counting only applies to uncapped, unrestricted,
-    # unseeded counting; a max_embeddings cap needs enumeration semantics
-    # (results are counted one by one up to the cap, the 1e5-cap convention
-    # of existing works), and restrictions/seeds couple independent regions.
-    # A governed embedding cap disqualifies it the same way an option cap
-    # does.
     try:
-        if (
-            options.count_only
-            and not physical.restrictions
-            and not physical.has_pins
-            and options.max_embeddings is None
-            and (gov is None or gov.budget.max_embeddings is None)
-        ):
-            from repro.engine.counting import count_physical
-
-            with obs.tracer.span(
-                "execute", mode="count", variant=plan.variant.value
-            ) as span:
-                count, stats, stop_reason, degradation = count_physical(
-                    physical, options
+        runtime = Runtime(physical, options)
+        with obs.tracer.span(
+            "execute",
+            mode="count" if options.count_only else "enumerate",
+            variant=plan.variant.value,
+        ) as span:
+            if options.count_only:
+                count = count_capped(
+                    physical,
+                    runtime,
+                    factorize=factorizable(physical, runtime),
                 )
-                timed_out = stop_reason == STOP_TIME_LIMIT
-                span.set("count", count)
-            # The factorized counter attaches its own estimator to the
-            # Observation; snapshot it (pinned to 100% on exhaustive runs).
-            estimator = getattr(obs, "progress", None)
-            if estimator is not None:
-                if stop_reason is None:
-                    estimator.complete()
-                progress = estimator.as_dict()
-        else:
-            runtime = Runtime(physical, options)
-            count = 0
-            with obs.tracer.span(
-                "execute", mode="enumerate", variant=plan.variant.value
-            ) as span:
-                if options.count_only:
-                    count = count_capped(physical, runtime)
-                else:
-                    collected: list[dict[int, int]] = []
-                    n = physical.num_vertices
-                    for tup in stream(physical, runtime):
-                        collected.append({u: tup[u] for u in range(n)})
-                    count = runtime.emitted
-                    embeddings = collected
-                truncated = runtime.truncated
-                timed_out = runtime.timed_out
-                stop_reason = runtime.stop_reason
-                degradation = list(runtime.degradation)
-                span.set("count", count)
-                span.set("nodes", runtime.nodes)
-            stats = runtime.stats()
-            progress = runtime.progress_snapshot(complete=True)
+            else:
+                collected: list[dict[int, int]] = []
+                n = physical.num_vertices
+                for tup in stream(physical, runtime):
+                    collected.append({u: tup[u] for u in range(n)})
+                count = runtime.emitted
+                embeddings = collected
+            span.set("count", count)
+            span.set("nodes", runtime.nodes)
+        stats = runtime.stats()
+        progress = runtime.progress_snapshot(complete=True)
     finally:
         if gov is not None:
             gov.release()
@@ -848,7 +902,7 @@ def execute_physical(
             "run_end",
             count=count,
             nodes=stats.get("nodes", 0),
-            stop_reason=stop_reason,
+            stop_reason=runtime.stop_reason,
         )
     if obs.enabled:
         obs.counters.merge(stats)
@@ -860,10 +914,10 @@ def execute_physical(
         read_seconds=plan.task_clusters.read_seconds,
         plan_seconds=max(0.0, plan.plan_seconds),
         compile_seconds=physical.compile_seconds,
-        truncated=truncated,
-        timed_out=timed_out,
-        stop_reason=stop_reason,
-        degradation=degradation,
+        truncated=runtime.truncated,
+        timed_out=runtime.timed_out,
+        stop_reason=runtime.stop_reason,
+        degradation=list(runtime.degradation),
         progress=progress,
         stats=stats,
     )
@@ -874,6 +928,17 @@ def execute_physical(
             count,
             stats.get("nodes", 0),
             result.elapsed,
-            f" (stopped: {stop_reason})" if stop_reason else "",
+            f" (stopped: {result.stop_reason})" if result.stop_reason else "",
         )
     return result
+
+
+def count_physical(
+    physical: PhysicalPlan, options: MatchOptions
+) -> tuple[int, dict, str | None, list[str]]:
+    """Count embeddings of a compiled plan; returns
+    ``(count, stats, stop_reason, degradation)`` — the parts of
+    :func:`execute_physical`'s counting result a caller without a
+    :class:`MatchResult` needs."""
+    result = execute_physical(physical, replace(options, count_only=True))
+    return result.count, result.stats, result.stop_reason, result.degradation

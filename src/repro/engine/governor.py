@@ -15,11 +15,12 @@ trace. This module provides the three pieces:
   chaos suite. The engine polls it at tick boundaries and stops with a
   truncated-but-valid result, never a ``KeyboardInterrupt`` traceback.
 * :class:`ResourceGovernor` — combines both and applies the
-  **graceful-degradation ladder** on a memory breach: first evict half the
-  SCE memo (LRU-style), then disable memoization for the remainder of the
-  run, and only suspend (``stop_reason="memory_limit"``) if pressure
-  persists. Each rung is recorded in the run's ``degradation`` list and
-  the observation counters (``governor_evictions`` etc.).
+  **graceful-degradation ladder** on a memory breach: first evict half of
+  the SCE memos (candidate sets and factorized counting's region counts,
+  LRU-style), then disable memoization for the remainder of the run, and
+  only suspend (``stop_reason="memory_limit"``) if pressure persists.
+  Each rung is recorded in the run's ``degradation`` list and the
+  observation counters (``governor_evictions`` etc.).
 
 Because the executor keeps its entire search state in an explicit frame
 stack (PR 3), a governed stop is just a cooperative ``return`` — the
@@ -127,11 +128,9 @@ class ResourceGovernor:
     runs, applying the graceful-degradation ladder on memory breaches.
 
     The governor is attached via ``MatchOptions(governor=...)`` and polled
-    by the engine's tick machinery through :meth:`check`, which is
-    duck-typed over the executor's :class:`~repro.engine.executor.Runtime`
-    and the counter's :class:`~repro.engine.counting.FactorizedCounter`
-    (both expose ``computer``, ``options``, ``degradation`` and
-    ``gov_stage``). It owns tracemalloc the same way
+    by the engine's tick machinery through :meth:`check` with the run's
+    :class:`~repro.engine.executor.Runtime` — the one state every search
+    mode shares. It owns tracemalloc the same way
     :class:`repro.obs.profile.Profiler` does: starts tracing only when a
     memory budget exists and tracing is off, and stops it only if it
     started it.
@@ -236,12 +235,13 @@ class ResourceGovernor:
     def check(self, run: Any) -> str | None:
         """One governance step; returns a stop reason or ``None``.
 
-        ``run`` is the executor's ``Runtime`` or the factorized counter —
-        anything with ``computer`` (a
-        :class:`~repro.engine.candidates.CandidateComputer`),
-        ``degradation`` (list of ladder events) and ``gov_stage`` (int
-        ladder position, starts at 0). Called from ``tick()`` at the same
-        cadence as the deadline check, so its cost is amortized over
+        ``run`` is the executor's ``Runtime`` (the pool's parent loop
+        passes a probe with the same fields): ``computer`` (a
+        :class:`~repro.engine.candidates.CandidateComputer`, whose
+        candidate and region memos the ladder evicts and disables),
+        ``degradation`` (list of ladder events), ``gov_stage`` (int ladder
+        position, starts at 0) and ``emitted``. Called from ``tick()`` at
+        the same cadence as the deadline check, so its cost is amortized over
         :data:`~repro.engine.executor._TIME_CHECK_INTERVAL` frame steps.
 
         The time/embedding dimensions of the budget are *not* checked here

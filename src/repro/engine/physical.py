@@ -19,7 +19,11 @@ at compile time instead of per search-tree node:
   position where their later endpoint is matched;
 * seed pins ride on the op (:meth:`PhysicalPlan.with_seed` rebinding is a
   cheap dataclass replace, so continuous matching reuses one compiled plan
-  across every pin of a delta).
+  across every pin of a delta);
+* SCE count factorization's *product points* — where the unmatched suffix
+  splits into independent regions whose counts multiply — depend only on
+  the plan, so :attr:`PhysicalPlan.product_points` computes them once, on
+  the first factorized count (streams never pay for them).
 
 Compilation is cheap (linear in plan size) and separated from planning so a
 :class:`repro.engine.MatchSession` can cache the result per
@@ -30,7 +34,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Callable
+from functools import cached_property
+from typing import Any, Callable, Hashable
 
 import numpy as np
 
@@ -64,12 +69,199 @@ class ExtendOp:
     pin: int | None = None
 
 
+#: :attr:`ProductPoints.next` sentinels: the region ends at this position,
+#: or its rest splits into independent groups here.
+LEAF = -1
+SPLIT = -2
+#: :attr:`ProductPoints.back` sentinels: the search is done, or the frame
+#: returns into the enclosing product frame.
+DONE = -1
+PRODUCT = -2
+
+_NO_USED: frozenset = frozenset()
+
+
+@dataclass(frozen=True)
+class ProductPoints:
+    """The order in which the search visits plan positions, and where SCE
+    counting multiplies.
+
+    A *region* is a set of positions counted as one subproblem; the whole
+    plan is the first. Once a value is chosen at position ``p``, the rest
+    of ``p``'s region is counted: ``next[p]`` is its first position,
+    :data:`LEAF` when the region ends at ``p``, or :data:`SPLIT` when the
+    rest falls apart into independent groups — no dependency path in
+    ``H`` between them and, under injective variants, no shared vertex
+    label (Definition 1's ``C \\ {v_x} = C`` needs disjoint labels). Then
+    ``groups[p]`` lists each group's first position and their counts
+    multiply: a *product point*. ``top`` does the same for the whole plan
+    (an ``H`` with several components). ``back[p]`` is where the exhausted
+    frame at ``p`` returns: the previous position of its region,
+    :data:`PRODUCT` for a group's first position, or :data:`DONE`.
+
+    A group's count depends only on the images of ``frontier[h]`` (pattern
+    vertices outside group ``h`` that its candidates read) and, under
+    injectivity, on which used data vertices carry one of ``labels[h]``
+    (looked up in the store's ``data_labels``) — together the region memo
+    key (:meth:`region_key`).
+
+    Without a split the tables are the flat chain ``0 → 1 → … → n-1``
+    (:func:`flat_points`), which is how enumeration always runs.
+    """
+
+    next: tuple[int, ...]
+    back: tuple[int, ...]
+    groups: dict[int, tuple[int, ...]]
+    top: tuple[int, ...]
+    frontier: dict[int, tuple[int, ...]]
+    labels: dict[int, frozenset]
+    data_labels: list[Hashable]
+
+    @property
+    def chain(self) -> int:
+        """How many leading positions form one chain before the first
+        product point — the frames the progress probe can read."""
+        if self.top:
+            return 0
+        for p, target in enumerate(self.next):
+            if target == SPLIT:
+                return p + 1
+        return len(self.next)
+
+    def region_key(
+        self, head: int, assignment: list[int], used: set[int]
+    ) -> tuple:
+        """Memo key of group ``head`` under the current partial embedding."""
+        images = tuple([assignment[v] for v in self.frontier[head]])
+        if not used:
+            return (head, images, _NO_USED)
+        labels = self.labels[head]
+        data_labels = self.data_labels
+        return (
+            head,
+            images,
+            frozenset([v for v in used if data_labels[v] in labels]),
+        )
+
+
+def flat_points(n: int) -> ProductPoints:
+    """The split-free tables of an ``n``-position plan."""
+    return ProductPoints(
+        next=(*range(1, n), LEAF) if n else (),
+        back=tuple(range(-1, n - 1)),
+        groups={},
+        top=(),
+        frontier={},
+        labels={},
+        data_labels=[],
+    )
+
+
+def _union(a: set, b: set) -> set:
+    """Merge the smaller set into the larger; returns the larger."""
+    if len(a) < len(b):
+        a, b = b, a
+    a |= b
+    return a
+
+
+def compute_product_points(plan: Plan) -> ProductPoints:
+    """Compute a plan's regions in one reverse pass over its positions.
+
+    Adding positions ``n-1, …, 0`` to a union-find (joined along ``H``
+    edges and prior dependencies, and, under injectivity, shared labels)
+    keeps the components of every suffix. The region of ``p`` is ``p``'s
+    component once ``p`` is added; the parts ``p`` joins are exactly the
+    groups its rest splits into. Frontiers and label sets merge
+    smaller-into-larger and are copied out only at product points, so a
+    2000-vertex plan stays near-linear.
+    """
+    n = plan.num_vertices
+    order = plan.order
+    position = plan.position
+    dag = plan.dag
+    priors = plan.memo_priors
+    injective = plan.variant.injective
+    label_of = [plan.pattern.vertex_label(u) for u in order]
+    # Dependents of each position: the later positions joined with it by
+    # an ``H`` edge (``H`` follows the order, so its out-edges point
+    # later) or by reading it as a prior.
+    joined: list[set[int]] = [{position[w] for w in dag.out[u]} for u in order]
+    for p in range(n):
+        for w in priors[p]:
+            joined[position[w]].add(p)
+    parent = list(range(n))
+    # Per component root: prior vertices outside it, and its labels.
+    open_priors: dict[int, set[int]] = {}
+    label_sets: dict[int, set[Hashable]] = {}
+    latest: dict[Hashable, int] = {}
+    nxt = [LEAF] * n
+    back = [DONE] * n
+    groups: dict[int, tuple[int, ...]] = {}
+    frontier: dict[int, tuple[int, ...]] = {}
+    labels: dict[int, frozenset] = {}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def seal(heads: tuple[int, ...]) -> None:
+        for h in heads:
+            back[h] = PRODUCT
+            frontier[h] = tuple(sorted(open_priors[h]))
+            labels[h] = frozenset(label_sets[h])
+
+    for p in range(n - 1, -1, -1):
+        parts = {find(q) for q in joined[p]}
+        if injective:
+            same = latest.get(label_of[p])
+            if same is not None:
+                parts.add(find(same))
+            latest[label_of[p]] = p
+        heads = tuple(sorted(parts))
+        if len(heads) == 1:
+            nxt[p] = heads[0]
+            back[heads[0]] = p
+        elif heads:
+            nxt[p] = SPLIT
+            groups[p] = heads
+            seal(heads)
+        # Union every part under p (the new component's first position).
+        merged_priors: set[int] = set()
+        merged_labels: set[Hashable] = set()
+        for h in heads:
+            parent[h] = p
+            merged_priors = _union(merged_priors, open_priors.pop(h))
+            merged_labels = _union(merged_labels, label_sets.pop(h))
+        merged_priors.update(priors[p])
+        merged_priors.discard(order[p])
+        merged_labels.add(label_of[p])
+        open_priors[p] = merged_priors
+        label_sets[p] = merged_labels
+    top = tuple(sorted(p for p in range(n) if parent[p] == p))
+    if len(top) > 1:
+        seal(top)
+    else:
+        top = ()
+    return ProductPoints(
+        next=tuple(nxt),
+        back=tuple(back),
+        groups=groups,
+        top=top,
+        frontier=frontier,
+        labels=labels,
+        data_labels=plan.task_clusters.data_vertex_labels,
+    )
+
+
 @dataclass(frozen=True)
 class PhysicalPlan:
     """A compiled plan: one :class:`ExtendOp` per order position.
 
     Holds a reference to the logical plan it was lowered from (for the
-    variant, the dependency DAG used by count factorization, and the
+    variant, the dependency DAG behind :attr:`product_points`, and the
     EXPLAIN metadata). Immutable; per-run state lives in the executor.
     """
 
@@ -98,6 +290,12 @@ class PhysicalPlan:
     @property
     def has_pins(self) -> bool:
         return any(op.pin is not None for op in self.ops)
+
+    @cached_property
+    def product_points(self) -> ProductPoints:
+        """Where factorized counting multiplies (:class:`ProductPoints`),
+        computed on the first factorized count and kept with the plan."""
+        return compute_product_points(self.logical)
 
     def impossible(self) -> bool:
         """True when a pattern edge has no cluster: zero embeddings."""

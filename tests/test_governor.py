@@ -194,11 +194,11 @@ class TestDegradationLadder:
 class TestFactorizedStopConsistency:
     """Satellite: LimitExceeded.partial_count must agree with the result
     count on the factorized (count-only) path, including a time-limit trip
-    inside the ``_PROD`` stack machine."""
+    inside a product point of the search loop."""
 
     def _factorizing_task(self):
         # A star pattern over a random graph factorizes into independent
-        # leaf regions (the _PROD frames of the counter).
+        # leaf regions (one product point at the hub).
         graph = make_random_graph(40, 120, num_labels=1, seed=11)
         star = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
         return CSCE(graph), star
@@ -212,8 +212,8 @@ class TestFactorizedStopConsistency:
     def test_time_limit_inside_prod_reports_consistent_partial(self):
         engine, star = self._factorizing_task()
         # Dense ticking (injector installed) + a slowdown on every tick
-        # guarantees the deadline trips mid-count, inside _SEQ/_PROD
-        # frames rather than before the first one.
+        # guarantees the deadline trips mid-count, inside the product
+        # point's groups rather than before the first one.
         with FaultInjector(seed=2).on("engine.tick", slowdown(0.002), after=3):
             result = engine.match(
                 star, "homomorphic", count_only=True, time_limit=0.004,

@@ -1,11 +1,11 @@
 """No-recursion pass: the engine's hot paths must stay iterative.
 
-PR 3 deleted the recursive interpreter on purpose: the streaming executor
-and the factorized counter run on explicit frame stacks, so deep patterns
-never hit Python's recursion limit and suspend/resume can serialize the
-whole search state. A recursive helper sneaking back into
-``repro.engine.executor`` or ``repro.engine.counting`` would silently
-reintroduce both failure modes.
+PR 3 deleted the recursive interpreter on purpose: the search loop (every
+mode, factorized counting included) runs on an explicit frame stack, so
+deep patterns never hit Python's recursion limit and suspend/resume can
+serialize the whole search state. A recursive helper sneaking back into
+``repro.engine.executor`` (or the physical-plan compiler that computes
+its product points) would silently reintroduce both failure modes.
 
 The check builds a name-based intra-module call graph — module-level
 functions called by bare name, methods called through ``self.`` within
@@ -25,7 +25,7 @@ from tools.reprolint import LintContext, LintPass, Violation, register
 #: The recursion-free hot paths.
 SCOPES = (
     "src/repro/engine/executor.py",
-    "src/repro/engine/counting.py",
+    "src/repro/engine/physical.py",
     "src/repro/engine/pool.py",
     "src/repro/engine/workunit.py",
 )
@@ -144,7 +144,7 @@ def _cycle_members(graph: dict[FuncKey, tuple[int, set[FuncKey]]]) -> set[FuncKe
 class NoRecursionPass(LintPass):
     name = "no_recursion"
     description = (
-        "engine hot paths (executor, counting) must stay recursion-free:"
+        "engine hot paths (the search loop, the pool) must stay recursion-free:"
         " no function may sit on an intra-module call-graph cycle"
     )
 
