@@ -29,7 +29,7 @@ from repro.core.csce import CSCE
 from repro.core.variants import Variant
 from repro.datasets import DATASET_NAMES, dataset_table, load_dataset
 from repro.engine.physical import compile_plan
-from repro.errors import FormatError
+from repro.errors import CheckpointError, FormatError, VariantError
 from repro.graph.io import load_graph
 from repro.graph.sampling import sample_pattern
 from repro.obs import (
@@ -157,82 +157,41 @@ def _cmd_capabilities(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_match(args: argparse.Namespace) -> int:
-    if args.data:
-        graph = load_graph(args.data, strict=not args.lenient)
-    elif args.dataset:
-        graph = load_dataset(args.dataset, scale=args.scale)
-    else:
-        print("error: provide --data FILE or --dataset NAME", file=sys.stderr)
-        return 2
-    if getattr(graph, "parse_warnings", 0):
-        print(f"warning     : skipped {graph.parse_warnings} malformed"
-              " line(s) in the data graph", file=sys.stderr)
-    robustness = (
-        args.memory_limit is not None
-        or args.checkpoint is not None
-        or args.resume is not None
-        or args.inspect is not None
-    )
-    if robustness and args.engine != "CSCE":
-        print(
-            "error: --memory-limit/--checkpoint/--resume/--inspect require"
-            " --engine CSCE",
-            file=sys.stderr,
-        )
-        return 2
-    workers = max(1, args.workers)
-    if workers > 1:
-        if args.engine != "CSCE":
-            print("error: --workers requires --engine CSCE",
-                  file=sys.stderr)
-            return 2
-        if args.stream or args.enumerate:
-            print(
-                "error: --workers runs in count mode only (embedding"
-                " streams are not portable across processes); drop"
-                " --stream/--enumerate",
-                file=sys.stderr,
-            )
-            return 2
-    checkpoint_doc = None
-    resume_dir = None
-    if args.resume and os.path.isdir(args.resume):
-        # A directory of shard checkpoints (csce match --workers N
-        # --checkpoint DIR) resumes on the worker pool.
-        from repro.engine import load_checkpoint_dir
-        from repro.errors import CheckpointError
-        from repro.graph.io import parse_graph_text
+def _start_inspector(target, obs, governor, args, **kwargs):
+    """Attach a :class:`MatchInspector` to ``target`` (a stream or a pool
+    monitor) and serve it on ``--inspect``; returns ``(inspector, server,
+    usr2_handler)``."""
+    inspector = MatchInspector(target, obs, governor=governor, **kwargs).attach()
+    server = InspectorServer(inspector, args.inspect).start()
+    print(f"inspector   : listening on {server.endpoint}", file=sys.stderr)
+    return inspector, server, _install_sigusr2(inspector)
 
-        try:
-            pool_docs = load_checkpoint_dir(args.resume)
-        except CheckpointError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        resume_dir = args.resume
-        pattern = parse_graph_text(
-            pool_docs[0]["pattern"]["text"], name="resumed"
-        )
-    elif args.resume:
-        from repro.engine import load_checkpoint
-        from repro.errors import CheckpointError
-        from repro.graph.io import parse_graph_text
 
-        try:
-            checkpoint_doc = load_checkpoint(args.resume)
-        except CheckpointError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        pattern = parse_graph_text(
-            checkpoint_doc["pattern"]["text"], name="resumed"
-        )
-    elif args.pattern:
-        pattern = load_graph(args.pattern, strict=not args.lenient)
-    else:
-        pattern = sample_pattern(
-            graph, args.pattern_size, rng=args.seed, style=args.pattern_style
-        )
-    engine = make_engine(args.engine, graph)
+def _match_arg_problem(args: argparse.Namespace) -> str | None:
+    """The first ``csce match`` flag combination that cannot run, or
+    ``None``."""
+    if args.engine != "CSCE":
+        if (
+            args.memory_limit is not None
+            or args.checkpoint is not None
+            or args.resume is not None
+            or args.inspect is not None
+        ):
+            return ("--memory-limit/--checkpoint/--resume/--inspect require"
+                    " --engine CSCE")
+        if args.workers > 1:
+            return "--workers requires --engine CSCE"
+        if args.stream:
+            return "--stream requires --engine CSCE"
+    if args.workers > 1 and (args.stream or args.enumerate):
+        return ("--workers runs in count mode only (embedding streams are"
+                " not portable across processes); drop --stream/--enumerate")
+    return None
+
+
+def _match_observation(args: argparse.Namespace):
+    """The run's :class:`Observation` and metrics pump; each is ``None``
+    when no flag asks for it."""
     exporters = []
     if args.metrics_prom:
         exporters.append(PrometheusTextfileExporter(args.metrics_prom))
@@ -256,20 +215,160 @@ def _cmd_match(args: argparse.Namespace) -> int:
         or args.dump_recorder
         or args.inspect is not None
     )
+    if not instrumented:
+        return None, pump
     heartbeat_interval = args.heartbeat
     if heartbeat_interval is None and args.inspect is not None:
         # The inspector samples on heartbeat ticks — give it a fast pulse
         # (the lines themselves go to logger.info, silent by default).
         heartbeat_interval = DEFAULT_INSPECT_INTERVAL
-    obs = (
-        Observation(trace=args.trace or bool(args.report)
-                    or args.trace_perfetto is not None,
-                    heartbeat_interval=heartbeat_interval,
-                    profile=args.profile,
-                    metrics=pump)
-        if instrumented
-        else None
+    obs = Observation(
+        trace=args.trace or bool(args.report)
+        or args.trace_perfetto is not None,
+        heartbeat_interval=heartbeat_interval,
+        profile=args.profile,
+        metrics=pump,
     )
+    return obs, pump
+
+
+def _match_payload(args, result, pattern, checkpoint_block, obs, plan) -> dict:
+    """The ``csce match`` output: ``--json`` dumps it, the text view
+    renders it (:func:`_print_match`)."""
+    payload = {
+        "engine": args.engine,
+        "variant": str(result.variant),
+        "pattern": {
+            "name": pattern.name,
+            "num_vertices": pattern.num_vertices,
+            "num_edges": pattern.num_edges,
+        },
+        "count": result.count,
+        "truncated": result.truncated,
+        "timed_out": result.timed_out,
+        "stop_reason": result.stop_reason,
+        "degradation": list(result.degradation),
+        "timings": {
+            "read_seconds": result.read_seconds,
+            "plan_seconds": result.plan_seconds,
+            "execute_seconds": result.elapsed,
+            "total_seconds": result.total_seconds,
+        },
+        "throughput": result.throughput,
+        "stats": dict(result.stats),
+    }
+    if result.progress is not None:
+        payload["progress"] = dict(result.progress)
+    if result.shards is not None:
+        payload["workers"] = max(1, args.workers)
+        payload["shards"] = dict(result.shards)
+    if result.quarantined_units:
+        payload["quarantined_units"] = result.quarantined_units
+    if checkpoint_block is not None:
+        payload["checkpoint"] = checkpoint_block
+    if args.profile and obs is not None:
+        payload["profile"] = obs.profile.as_dict(
+            list(plan.order) if plan is not None else None
+        )
+    if args.enumerate and result.embeddings is not None:
+        # Integer keys; json.dumps writes them as strings.
+        payload["embeddings"] = [
+            dict(emb) for emb in result.embeddings[: args.show]
+        ]
+    return payload
+
+
+def _print_match(payload: dict, report: dict | None, args) -> None:
+    """The human-readable view of a :func:`_match_payload`."""
+    pattern = payload["pattern"]
+    stop = payload["stop_reason"]
+    print(f"engine      : {payload['engine']}")
+    print(f"variant     : {payload['variant']}")
+    print(f"pattern     : |V|={pattern['num_vertices']}"
+          f" |E|={pattern['num_edges']}")
+    print(f"embeddings  : {payload['count']}"
+          + (f" (stopped: {stop})" if stop else ""))
+    if "shards" in payload:
+        counts = payload["shards"].get("counts") or []
+        print(
+            f"shards      : {len(counts)} worker(s):"
+            f" {' + '.join(str(c) for c in counts)}"
+            f" = {sum(counts)}"
+        )
+    if "quarantined_units" in payload:
+        print(
+            f"quarantined : {payload['quarantined_units']} unit(s) — replay"
+            " with 'csce retry-quarantined'"
+        )
+    if payload["degradation"]:
+        print(f"degradation : {' > '.join(payload['degradation'])}")
+    checkpoint = payload.get("checkpoint")
+    if checkpoint is not None:
+        written = " (written)" if checkpoint["written"] else ""
+        if checkpoint.get("on_demand"):
+            written = f" (written, {checkpoint['on_demand']} on-demand)"
+        print(f"checkpoint  : {checkpoint['path']}{written}")
+    t = payload["timings"]
+    print(f"total time  : {t['total_seconds']:.4f} s"
+          f" (read {t['read_seconds']:.4f}, plan {t['plan_seconds']:.4f},"
+          f" execute {t['execute_seconds']:.4f})")
+    if "profile" in payload:
+        print(f"peak memory : {payload['profile']['peak_mb']} MiB"
+              " (tracemalloc)")
+    if args.trace and report is not None:
+        print()
+        print(format_run_report(report))
+    if "embeddings" in payload:
+        shown = payload["embeddings"]
+        for i, embedding in enumerate(shown):
+            print(f"  #{i}: {embedding}")
+        if payload["count"] > len(shown):
+            # An enumeration keeps every embedding it counts.
+            print(f"  ... {payload['count'] - len(shown)} more")
+
+
+def _cmd_match(args: argparse.Namespace) -> int:
+    if args.data:
+        graph = load_graph(args.data, strict=not args.lenient)
+    elif args.dataset:
+        graph = load_dataset(args.dataset, scale=args.scale)
+    else:
+        print("error: provide --data FILE or --dataset NAME", file=sys.stderr)
+        return 2
+    if getattr(graph, "parse_warnings", 0):
+        print(f"warning     : skipped {graph.parse_warnings} malformed"
+              " line(s) in the data graph", file=sys.stderr)
+    problem = _match_arg_problem(args)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
+    workers = max(1, args.workers)
+    checkpoint_doc = None
+    resume_dir = None
+    if args.resume:
+        from repro.engine import load_checkpoint, load_checkpoint_dir
+        from repro.graph.io import parse_graph_text
+
+        try:
+            if os.path.isdir(args.resume):
+                # A directory of shard checkpoints (csce match --workers N
+                # --checkpoint DIR) resumes on the worker pool.
+                resume_dir = args.resume
+                doc = load_checkpoint_dir(args.resume)[0]
+            else:
+                checkpoint_doc = doc = load_checkpoint(args.resume)
+        except CheckpointError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        pattern = parse_graph_text(doc["pattern"]["text"], name="resumed")
+    elif args.pattern:
+        pattern = load_graph(args.pattern, strict=not args.lenient)
+    else:
+        pattern = sample_pattern(
+            graph, args.pattern_size, rng=args.seed, style=args.pattern_style
+        )
+    engine = make_engine(args.engine, graph)
+    obs, pump = _match_observation(args)
     plan = None
     if isinstance(engine, CSCE) and obs is not None:
         # Build the plan explicitly so the run-report can summarize it.
@@ -294,10 +393,24 @@ def _cmd_match(args: argparse.Namespace) -> int:
         or checkpoint_doc is not None
         or args.inspect is not None
     )
+    # The kwargs every engine entry point shares. Checkpointing forbids a
+    # caller-supplied plan (resume recompiles through the session), and
+    # the resume entry points take none.
+    limits = {
+        "max_embeddings": args.limit,
+        "time_limit": args.time_limit,
+        "obs": obs,
+    }
+    if governor is not None:
+        limits["governor"] = governor
+    supervision = {
+        "stall_timeout": args.stall_timeout,
+        "max_respawns": args.max_respawns,
+        "max_unit_attempts": args.max_unit_attempts,
+    }
+    with_plan = {"plan": plan} if plan is not None and not args.checkpoint else {}
     checkpoint_block = None
-    inspector = None
-    server = None
-    usr2_handler = None
+    inspector = server = usr2_handler = None
     try:
         if parallel:
             pool_monitor = None
@@ -305,50 +418,21 @@ def _cmd_match(args: argparse.Namespace) -> int:
                 from repro.engine import PoolMonitor
 
                 pool_monitor = PoolMonitor()
-                inspector = MatchInspector(
-                    pool_monitor, obs, governor=governor
-                ).attach()
-                server = InspectorServer(inspector, args.inspect).start()
-                print(f"inspector   : listening on {server.endpoint}",
-                      file=sys.stderr)
-                usr2_handler = _install_sigusr2(inspector)
+                inspector, server, usr2_handler = _start_inspector(
+                    pool_monitor, obs, governor, args
+                )
             if resume_dir is not None:
                 result = engine.resume_pool(
-                    resume_dir,
-                    workers=workers,
-                    max_embeddings=args.limit,
-                    time_limit=args.time_limit,
-                    governor=governor,
-                    obs=obs,
-                    checkpoint_dir=args.checkpoint,
-                    monitor=pool_monitor,
-                    stall_timeout=args.stall_timeout,
-                    max_respawns=args.max_respawns,
-                    max_unit_attempts=args.max_unit_attempts,
+                    resume_dir, workers=workers,
+                    checkpoint_dir=args.checkpoint, monitor=pool_monitor,
+                    **limits, **supervision,
                 )
             else:
-                # pool_checkpoint_dir forbids a caller-supplied plan
-                # (shard resume recompiles through the session), so only
-                # pass `plan` when not checkpointing.
                 result = engine.match(
-                    pattern,
-                    args.variant,
-                    count_only=True,
-                    max_embeddings=args.limit,
-                    time_limit=args.time_limit,
-                    obs=obs,
-                    governor=governor,
-                    workers=workers,
+                    pattern, args.variant, count_only=True, workers=workers,
                     pool_checkpoint_dir=args.checkpoint,
                     pool_monitor=pool_monitor,
-                    stall_timeout=args.stall_timeout,
-                    max_respawns=args.max_respawns,
-                    max_unit_attempts=args.max_unit_attempts,
-                    **(
-                        {"plan": plan}
-                        if plan is not None and not args.checkpoint
-                        else {}
-                    ),
+                    **limits, **supervision, **with_plan,
                 )
             if inspector is not None:
                 inspector.finish(result)
@@ -360,42 +444,20 @@ def _cmd_match(args: argparse.Namespace) -> int:
                     "written": result.stop_reason is not None,
                 }
         elif use_stream:
-            if not isinstance(engine, CSCE):
-                print("error: --stream requires --engine CSCE",
-                      file=sys.stderr)
-                return 2
             if checkpoint_doc is not None:
-                from repro.errors import CheckpointError
-
                 try:
                     stream = engine.resume(
                         checkpoint_doc,
-                        max_embeddings=args.limit,
-                        time_limit=args.time_limit,
-                        governor=governor,
-                        obs=obs,
                         checkpoint_path=args.checkpoint or args.resume,
+                        **limits,
                     )
                 except CheckpointError as exc:
                     print(f"error: {exc}", file=sys.stderr)
                     return 2
             else:
-                # checkpoint_path forbids a caller-supplied plan (resume
-                # recompiles through the session), so only pass `plan`
-                # when not checkpointing.
                 stream = engine.match_iter(
-                    pattern,
-                    args.variant,
-                    max_embeddings=args.limit,
-                    time_limit=args.time_limit,
-                    obs=obs,
-                    governor=governor,
-                    checkpoint_path=args.checkpoint,
-                    **(
-                        {"plan": plan}
-                        if plan is not None and not args.checkpoint
-                        else {}
-                    ),
+                    pattern, args.variant, checkpoint_path=args.checkpoint,
+                    **limits, **with_plan,
                 )
             if args.inspect is not None and obs is not None:
                 from repro.engine import CheckpointSink
@@ -405,20 +467,14 @@ def _cmd_match(args: argparse.Namespace) -> int:
                         path, engine.store, pattern, args.variant, "csce"
                     )
 
-                inspector = MatchInspector(
-                    stream,
-                    obs,
-                    governor=governor,
+                inspector, server, usr2_handler = _start_inspector(
+                    stream, obs, governor, args,
                     checkpoint_factory=_sink_factory,
                     default_checkpoint_path=(
                         args.checkpoint
                         or f"csce-checkpoint-{os.getpid()}.json"
                     ),
-                ).attach()
-                server = InspectorServer(inspector, args.inspect).start()
-                print(f"inspector   : listening on {server.endpoint}",
-                      file=sys.stderr)
-                usr2_handler = _install_sigusr2(inspector)
+                )
             shown = 0
             with stream:
                 for embedding in stream:
@@ -439,16 +495,14 @@ def _cmd_match(args: argparse.Namespace) -> int:
                 if sink.on_demand:
                     checkpoint_block["on_demand"] = sink.on_demand
         else:
-            result = engine.match(
-                pattern,
-                args.variant,
-                count_only=not args.enumerate,
-                max_embeddings=args.limit,
-                time_limit=args.time_limit,
-                obs=obs,
-                **({"plan": plan} if plan is not None else {}),
-                **({"governor": governor} if governor is not None else {}),
-            )
+            try:
+                result = engine.match(
+                    pattern, args.variant, count_only=not args.enumerate,
+                    **limits, **with_plan,
+                )
+            except VariantError as exc:  # a baseline lacking the variant
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
     finally:
         if server is not None:
             server.stop()
@@ -465,12 +519,7 @@ def _cmd_match(args: argparse.Namespace) -> int:
         if parallel:
             # Stamp the supervision knobs a parallel run was launched
             # with — report --validate type-checks them.
-            config_block = {
-                "workers": workers,
-                "stall_timeout": args.stall_timeout,
-                "max_respawns": args.max_respawns,
-                "max_unit_attempts": args.max_unit_attempts,
-            }
+            config_block = {"workers": workers, **supervision}
         report = build_run_report(
             result,
             engine=args.engine,
@@ -493,93 +542,11 @@ def _cmd_match(args: argparse.Namespace) -> int:
     if pump is not None:
         for exporter in pump.exporters:
             print(f"metrics     : {exporter.path}", file=sys.stderr)
+    payload = _match_payload(args, result, pattern, checkpoint_block, obs, plan)
     if args.json:
-        payload = {
-            "engine": args.engine,
-            "variant": str(result.variant),
-            "pattern": {
-                "name": pattern.name,
-                "num_vertices": pattern.num_vertices,
-                "num_edges": pattern.num_edges,
-            },
-            "count": result.count,
-            "truncated": result.truncated,
-            "timed_out": result.timed_out,
-            "stop_reason": result.stop_reason,
-            "degradation": list(result.degradation),
-            "timings": {
-                "read_seconds": result.read_seconds,
-                "plan_seconds": result.plan_seconds,
-                "execute_seconds": result.elapsed,
-                "total_seconds": result.total_seconds,
-            },
-            "throughput": result.throughput,
-            "stats": dict(result.stats),
-        }
-        if result.progress is not None:
-            payload["progress"] = dict(result.progress)
-        if result.shards is not None:
-            payload["workers"] = workers
-            payload["shards"] = dict(result.shards)
-        if result.quarantined_units:
-            payload["quarantined_units"] = result.quarantined_units
-        if checkpoint_block is not None:
-            payload["checkpoint"] = checkpoint_block
-        if args.profile and obs is not None:
-            payload["profile"] = obs.profile.as_dict(
-                list(plan.order) if plan is not None else None
-            )
-        if args.enumerate and result.embeddings is not None:
-            payload["embeddings"] = [
-                {str(u): v for u, v in emb.items()}
-                for emb in result.embeddings[: args.show]
-            ]
         print(json.dumps(payload, indent=2))
-        return 0
-    print(f"engine      : {args.engine}")
-    print(f"variant     : {result.variant}")
-    print(f"pattern     : |V|={pattern.num_vertices} |E|={pattern.num_edges}")
-    if result.stop_reason:
-        suffix = f" (stopped: {result.stop_reason})"
     else:
-        suffix = ((" (truncated)" if result.truncated else "")
-                  + (" (timed out)" if result.timed_out else ""))
-    print(f"embeddings  : {result.count}{suffix}")
-    if result.shards is not None:
-        counts = result.shards.get("counts") or []
-        print(
-            f"shards      : {len(counts)} worker(s):"
-            f" {' + '.join(str(c) for c in counts)}"
-            f" = {sum(counts)}"
-        )
-    if result.quarantined_units:
-        print(
-            f"quarantined : {result.quarantined_units} unit(s) — replay"
-            " with 'csce retry-quarantined'"
-        )
-    if result.degradation:
-        print(f"degradation : {' > '.join(result.degradation)}")
-    if checkpoint_block is not None:
-        written = " (written)" if checkpoint_block["written"] else ""
-        if checkpoint_block.get("on_demand"):
-            written = (
-                f" (written, {checkpoint_block['on_demand']} on-demand)"
-            )
-        print(f"checkpoint  : {checkpoint_block['path']}{written}")
-    print(f"total time  : {result.total_seconds:.4f} s"
-          f" (read {result.read_seconds:.4f}, plan {result.plan_seconds:.4f},"
-          f" execute {result.elapsed:.4f})")
-    if args.profile and obs is not None:
-        print(f"peak memory : {obs.profile.peak_mb} MiB (tracemalloc)")
-    if args.trace and report is not None:
-        print()
-        print(format_run_report(report))
-    if args.enumerate and result.embeddings:
-        shown = result.embeddings[: args.show]
-        for i, embedding in enumerate(shown):
-            print(f"  #{i}: {embedding}")
-        if len(result.embeddings) > len(shown):
-            print(f"  ... {len(result.embeddings) - len(shown)} more")
+        _print_match(payload, report, args)
     return 0
 
 
@@ -587,8 +554,6 @@ def _cmd_retry_quarantined(args: argparse.Namespace) -> int:
     """Replay the quarantine-NNNN.json residue of a --workers run
     single-process and fold the missing counts (see
     :meth:`repro.core.CSCE.retry_quarantined`)."""
-    from repro.errors import CheckpointError
-
     if args.data:
         graph = load_graph(args.data, strict=not args.lenient)
     elif args.dataset:

@@ -2,8 +2,7 @@
 
 Execution itself lives in :mod:`repro.engine` (logical plans are compiled
 to physical operators and run iteratively); this package keeps the
-planning pipeline and re-exports the engine's public contract for
-compatibility.
+planning pipeline and re-exports the engine's options/result contract.
 """
 
 from repro.core.variants import Variant
@@ -13,7 +12,7 @@ from repro.core.equivalence import SCEStats, nec_classes, sce_statistics
 from repro.core.gcf import gcf_order, rapidmatch_order
 from repro.core.ldsf import ldsf_order
 from repro.core.plan import Plan, assemble_plan
-from repro.core.executor import MatchOptions, MatchResult, execute
+from repro.engine.results import MatchOptions, MatchResult
 from repro.core.csce import CSCE, PLANNERS
 from repro.core.cost import cost_based_order
 from repro.core.continuous import (
@@ -38,7 +37,6 @@ __all__ = [
     "assemble_plan",
     "MatchOptions",
     "MatchResult",
-    "execute",
     "CSCE",
     "PLANNERS",
     "cost_based_order",

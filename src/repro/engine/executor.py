@@ -199,8 +199,6 @@ class Runtime:
         "prunes_restriction",
         "factorizations",
         "group_memo_hits",
-        "truncated",
-        "timed_out",
         "stop_reason",
         "degradation",
         "gov_stage",
@@ -236,8 +234,6 @@ class Runtime:
         self.prunes_restriction = 0
         self.factorizations = 0
         self.group_memo_hits = 0
-        self.truncated = False
-        self.timed_out = False
         self.stop_reason: str | None = None
         self.degradation: list[str] = []
         self.gov_stage = 0
@@ -293,10 +289,6 @@ class Runtime:
             return True
         reason = gov.check(self)
         if reason is not None:
-            if reason == STOP_TIME_LIMIT:
-                self.timed_out = True
-            elif reason == STOP_EMBEDDING_LIMIT:
-                self.truncated = True
             self.stop_reason = reason
             self.note_stop(reason)
             return False
@@ -319,7 +311,7 @@ class Runtime:
         """Account one search-tree node; False once a limit fired (the
         deadline passed, the governor's budget breached and the ladder
         bottomed out, or the cancel token tripped). Sets ``stop_reason``
-        (and the legacy ``timed_out`` flag) before returning False."""
+        before returning False."""
         self.nodes += 1
         if self._ticking and self.nodes % self._interval == 0:
             if self.search_state is not None:
@@ -363,13 +355,6 @@ class Runtime:
             if gov is not None:
                 reason = gov.check(self)
                 if reason is not None:
-                    # Keep the legacy flags in step with governor-imposed
-                    # stops (a mid-run `budget` tightening arrives here,
-                    # not through the runtime's own deadline/cap).
-                    if reason == STOP_TIME_LIMIT:
-                        self.timed_out = True
-                    elif reason == STOP_EMBEDDING_LIMIT:
-                        self.truncated = True
                     self.stop_reason = reason
                     self.note_stop(reason, depth)
                     return False
@@ -377,7 +362,6 @@ class Runtime:
                 self._deadline is not None
                 and time.perf_counter() > self._deadline
             ):
-                self.timed_out = True
                 self.stop_reason = STOP_TIME_LIMIT
                 self.note_stop(STOP_TIME_LIMIT, depth)
                 return False
@@ -626,7 +610,6 @@ def search(
                     state.pos = pos
                     yield tuple(assignment)
                 if max_embeddings is not None and runtime.emitted >= max_embeddings:
-                    runtime.truncated = True
                     runtime.stop_reason = STOP_EMBEDDING_LIMIT
                     runtime.note_stop(STOP_EMBEDDING_LIMIT, pos)
                     return
@@ -692,9 +675,9 @@ class EmbeddingStream:
     Yields ``{pattern vertex: data vertex}`` dicts one at a time; the
     search is suspended between ``next()`` calls, so consuming three
     embeddings of a billion-result query does three embeddings of work.
-    Progress counters (``count``, ``stats``) and the cooperative stop
-    flags (``truncated``, ``timed_out``, ``stop_reason``) are readable at
-    any point, also mid-iteration. ``close()`` (or exiting a ``with``
+    Progress counters (``count``, ``stats``) and ``stop_reason`` (with the
+    ``truncated``/``timed_out`` flags derived from it) are readable at any
+    point, also mid-iteration. ``close()`` (or exiting a ``with``
     block) abandons the remaining search.
 
     ``state``/``emitted`` restore a checkpointed search
@@ -792,11 +775,11 @@ class EmbeddingStream:
 
     @property
     def truncated(self) -> bool:
-        return self.runtime.truncated
+        return self.runtime.stop_reason == STOP_EMBEDDING_LIMIT
 
     @property
     def timed_out(self) -> bool:
-        return self.runtime.timed_out
+        return self.runtime.stop_reason == STOP_TIME_LIMIT
 
     @property
     def stop_reason(self) -> str | None:
@@ -825,8 +808,6 @@ class EmbeddingStream:
             read_seconds=plan.task_clusters.read_seconds,
             plan_seconds=max(0.0, plan.plan_seconds),
             compile_seconds=self.physical.compile_seconds,
-            truncated=self.runtime.truncated,
-            timed_out=self.runtime.timed_out,
             stop_reason=self.runtime.stop_reason,
             degradation=list(self.runtime.degradation),
             progress=self.runtime.progress_snapshot(),
@@ -842,8 +823,8 @@ def execute_physical(
     Every run drives :func:`search`: enumeration in emit mode, counting in
     count mode, multiplying at the plan's product points when
     :func:`factorizable` (uncapped, unrestricted, unseeded). Limits
-    surface as ``stop_reason`` (plus the legacy ``truncated``/
-    ``timed_out`` flags) with the partial count, never as exceptions.
+    surface as ``stop_reason`` with the partial count, never as
+    exceptions.
     """
     options = options or MatchOptions()
     if options.workers > 1:
@@ -914,8 +895,6 @@ def execute_physical(
         read_seconds=plan.task_clusters.read_seconds,
         plan_seconds=max(0.0, plan.plan_seconds),
         compile_seconds=physical.compile_seconds,
-        truncated=runtime.truncated,
-        timed_out=runtime.timed_out,
         stop_reason=runtime.stop_reason,
         degradation=list(runtime.degradation),
         progress=progress,

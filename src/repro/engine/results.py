@@ -1,10 +1,8 @@
 """Run options and results for the physical-operator engine.
 
-These used to live in ``repro.core.executor``; they moved here with the
-compiled engine so that every execution front-end (the :class:`repro.core.CSCE`
-facade, :mod:`repro.core.continuous`, the baselines, and the bench harness)
-shares one options/result contract. ``repro.core.executor`` re-exports both
-names for compatibility.
+Every execution front-end (the :class:`repro.core.CSCE` facade,
+:mod:`repro.core.continuous`, the baselines, and the bench harness) shares
+this one options/result contract.
 
 This module deliberately imports nothing from ``repro`` — it sits at the
 bottom of the engine layer and must stay importable mid-way through package
@@ -92,8 +90,8 @@ class MatchOptions:
     and count factorization (the paper's headline optimization) for
     ablations; ``count_only`` skips materializing embeddings. Both limits
     are cooperative in the iterative engine: the run stops at the next
-    check, sets the ``truncated``/``timed_out`` flag, and returns the
-    partial count — no exceptions on the engine path.
+    check, records its ``stop_reason``, and returns the partial count — no
+    exceptions on the engine path.
     """
 
     count_only: bool = False
@@ -174,14 +172,11 @@ class MatchResult:
     0.0 when the run reused a cached :class:`repro.engine.PhysicalPlan`
     from a :class:`repro.engine.MatchSession`."""
 
-    truncated: bool = False
-    timed_out: bool = False
     stop_reason: str | None = None
     """Why the run ended early, or ``None`` for an exhaustive run. One of
     :data:`STOP_REASONS`: ``"time_limit"``, ``"embedding_limit"``,
-    ``"memory_limit"``, or ``"cancelled"``. The legacy ``truncated`` /
-    ``timed_out`` booleans are kept in sync (embedding-limit ↔ truncated,
-    time-limit ↔ timed_out) for existing callers."""
+    ``"memory_limit"``, ``"cancelled"``, or ``"quarantined"``. The legacy
+    :attr:`truncated` / :attr:`timed_out` booleans are derived from it."""
 
     degradation: list[str] = field(default_factory=list)
     """Governor degradation-ladder events, in order: ``"evict_memo"``
@@ -229,6 +224,16 @@ class MatchResult:
     unless a more severe budget stop happened first; the missing counts
     live in ``quarantine-NNNN.json`` files recoverable with
     ``csce retry-quarantined``."""
+
+    @property
+    def truncated(self) -> bool:
+        """The run hit its embedding cap (derived from ``stop_reason``)."""
+        return self.stop_reason == STOP_EMBEDDING_LIMIT
+
+    @property
+    def timed_out(self) -> bool:
+        """The run hit its time limit (derived from ``stop_reason``)."""
+        return self.stop_reason == STOP_TIME_LIMIT
 
     @property
     def total_seconds(self) -> float:

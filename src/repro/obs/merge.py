@@ -233,7 +233,8 @@ def merge_run_reports(
     slowest shard (shards run in parallel), with per-shard detail and the
     cross-shard sums preserved in the ``shards`` block; ``stop_reason``
     is the first shard stop (``None`` when every shard ran to
-    completion); span trees are concatenated. The result passes
+    completion) and the legacy ``truncated``/``timed_out`` flags derive
+    from it; span trees are concatenated. The result passes
     ``validate_run_report`` and ``robustness_problems``, so downstream
     tooling treats a distributed run like a local one.
     """
@@ -277,8 +278,8 @@ def merge_run_reports(
         "engine": str(first.get("engine", "CSCE")),
         "variant": str(first.get("variant", "")),
         "count": count,
-        "truncated": any(bool(r.get("truncated")) for r in reports),
-        "timed_out": any(bool(r.get("timed_out")) for r in reports),
+        "truncated": stop_reason == "embedding_limit",
+        "timed_out": stop_reason == "time_limit",
         "stop_reason": stop_reason,
         "degradation": _longest_ladder(reports),
         "timings": timings,

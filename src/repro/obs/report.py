@@ -169,6 +169,7 @@ def build_run_report(
             counters["heartbeats"] = heartbeat.beats
     profiler = getattr(obs, "profile", None) if obs is not None else None
     recorder = getattr(obs, "recorder", None) if obs is not None else None
+    stop_reason = getattr(result, "stop_reason", None)
 
     report: dict[str, Any] = {
         "format": RUN_REPORT_FORMAT,
@@ -176,9 +177,11 @@ def build_run_report(
         "engine": engine,
         "variant": str(result.variant),
         "count": int(result.count),
-        "truncated": bool(result.truncated),
-        "timed_out": bool(result.timed_out),
-        "stop_reason": getattr(result, "stop_reason", None),
+        # The legacy flags are derived, never stored: stop_reason is the
+        # one fact about how the run ended.
+        "truncated": stop_reason == "embedding_limit",
+        "timed_out": stop_reason == "time_limit",
+        "stop_reason": stop_reason,
         "degradation": list(getattr(result, "degradation", []) or []),
         "timings": {
             "read_seconds": result.read_seconds,
@@ -296,6 +299,18 @@ def robustness_problems(report: dict) -> list[str]:
         if stop is not None and stop not in _STOP_REASONS:
             problems.append(
                 f"stop_reason {stop!r} is not one of {list(_STOP_REASONS)}"
+            )
+        flags = {
+            "truncated": report.get("truncated", stop == "embedding_limit"),
+            "timed_out": report.get("timed_out", stop == "time_limit"),
+        }
+        if flags != {
+            "truncated": stop == "embedding_limit",
+            "timed_out": stop == "time_limit",
+        }:
+            problems.append(
+                f"truncated/timed_out {flags} contradict stop_reason"
+                f" {stop!r} (the flags are derived from it)"
             )
     if "degradation" in report:
         ladder = report["degradation"]

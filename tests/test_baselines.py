@@ -13,8 +13,10 @@ from repro.baselines import (
     symmetry_restrictions,
 )
 from repro.core import CSCE, Variant
-from repro.errors import VariantError
+from repro.errors import EmbeddingLimitExceeded, VariantError
 from repro.graph import Graph, count_automorphisms
+from repro.graph.generators import erdos_renyi
+from repro.graph.patterns import clique
 
 from conftest import brute_count, make_random_graph
 
@@ -67,6 +69,15 @@ class TestBacktracking:
         if full > 2:
             result = matcher.match(p, "edge_induced", max_embeddings=2)
             assert result.count == 2 and result.truncated
+
+    def test_cap_sets_stop_reason(self, labeled_graph):
+        matcher = BacktrackingMatcher(labeled_graph)
+        p = small_patterns(labeled_graph)[0]
+        result = matcher.match(p, "edge_induced", max_embeddings=2)
+        assert result.stop_reason == "embedding_limit"
+        with pytest.raises(EmbeddingLimitExceeded) as info:
+            result.check()
+        assert info.value.partial_count == result.count
 
     def test_restrictions(self, unlabeled_graph):
         tri = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -197,6 +208,14 @@ class TestSymmetryBreaking:
         tri = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
         with pytest.raises(VariantError):
             SymmetryBreakingMatcher(unlabeled_graph).match(tri, count_only=False)
+
+    def test_forwards_stop_reason(self):
+        graph = erdos_renyi(300, 3000, seed=1)
+        result = SymmetryBreakingMatcher(graph).match(
+            clique(4), time_limit=1e-5
+        )
+        assert result.stop_reason == "time_limit"
+        assert result.timed_out
 
     def test_records_symmetry_seconds(self, unlabeled_graph):
         tri = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])

@@ -108,6 +108,14 @@ class TestCommands:
         )
         assert code == 0
 
+    def test_match_unsupported_variant_exits_2(self, capsys):
+        # VF3 has no edge_induced variant, the default.
+        code = main(["match", "--dataset", "dip", "--scale", "0.1",
+                     "--pattern-size", "4", "--engine", "VF3"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "edge_induced" in err
+
     def test_plan_command(self, capsys):
         code = main(
             [

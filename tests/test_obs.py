@@ -376,6 +376,10 @@ class TestRunReport:
         # A written checkpoint on a completed run is contradictory.
         bad = {**good, "stop_reason": None}
         assert robustness_problems(bad)
+        # Legacy flags that disagree with stop_reason are contradictory
+        # (a capped baseline run once reported truncated with no reason).
+        assert robustness_problems({**report, "truncated": True})
+        assert robustness_problems({**report, "stop_reason": "time_limit"})
 
     def test_format_run_report_shows_robustness(self):
         report = {

@@ -238,10 +238,12 @@ def test_exception_flow_fixture_flagged():
     # The handler that catches EmbeddingLimitExceeded and just logs.
     assert "EmbeddingLimitExceeded" in messages
     assert "swallow" in messages
-    assert len(violations) == 2
+    assert len(violations) == 3
     # The escape is reported at the raise site.
     lines = {v.line for v in violations}
     assert 19 in lines
+    # The handler in flag_only() that only sets a local `truncated` flag.
+    assert 49 in lines
 
 
 def test_signal_safety_fixture_flagged():
