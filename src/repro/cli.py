@@ -445,15 +445,11 @@ def _cmd_match(args: argparse.Namespace) -> int:
                 }
         elif use_stream:
             if checkpoint_doc is not None:
-                try:
-                    stream = engine.resume(
-                        checkpoint_doc,
-                        checkpoint_path=args.checkpoint or args.resume,
-                        **limits,
-                    )
-                except CheckpointError as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return 2
+                stream = engine.resume(
+                    checkpoint_doc,
+                    checkpoint_path=args.checkpoint or args.resume,
+                    **limits,
+                )
             else:
                 stream = engine.match_iter(
                     pattern, args.variant, checkpoint_path=args.checkpoint,
@@ -495,14 +491,14 @@ def _cmd_match(args: argparse.Namespace) -> int:
                 if sink.on_demand:
                     checkpoint_block["on_demand"] = sink.on_demand
         else:
-            try:
-                result = engine.match(
-                    pattern, args.variant, count_only=not args.enumerate,
-                    **limits, **with_plan,
-                )
-            except VariantError as exc:  # a baseline lacking the variant
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
+            result = engine.match(
+                pattern, args.variant, count_only=not args.enumerate,
+                **limits, **with_plan,
+            )
+    except (CheckpointError, VariantError) as exc:
+        # A resume the store refuses, or a baseline lacking the variant.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         if server is not None:
             server.stop()

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import logging
 
+from dataclasses import replace
+
 from repro.ccsr.store import CCSRStore
 from repro.core.dag import build_dag
 from repro.core.gcf import gcf_order
@@ -356,15 +358,15 @@ class CSCE:
         auto-checkpointing, so repeated suspend/resume cycles work with
         the same path.
         """
-        from repro.engine.checkpoint import KEEP, load_checkpoint, restore_stream
+        from repro.engine.checkpoint import load_checkpoint, restore_stream
 
         if not isinstance(checkpoint, dict):
             checkpoint = load_checkpoint(checkpoint)
         return restore_stream(
             checkpoint,
             self.session,
-            max_embeddings=KEEP if max_embeddings is ... else max_embeddings,
-            time_limit=KEEP if time_limit is ... else time_limit,
+            max_embeddings=max_embeddings,
+            time_limit=time_limit,
             governor=governor,
             obs=obs or self.obs,
             checkpoint_path=checkpoint_path,
@@ -431,9 +433,11 @@ class CSCE:
         Loads every ``quarantine-NNNN.json`` in ``directory`` (written by
         a ``csce match --workers N --checkpoint DIR`` run whose units
         exhausted their attempt budget), validates each against this
-        engine's store, and re-executes the payloads **single-process** —
+        engine's store, and counts the payloads **single-process** on the
+        executor's unit loop (one runtime, so limits span every unit) —
         the environment where the pool-only failure modes (worker death,
-        injected ``pool.worker_beat`` faults) cannot recur. The returned
+        injected ``pool.worker_beat`` faults) cannot recur. Residue
+        carries no confirmed progress, so the returned
         :class:`MatchResult` counts exactly the embeddings the original
         match was missing: folding ``match.count + retry.count``
         reproduces the fault-free total.
@@ -449,70 +453,27 @@ class CSCE:
         import os
 
         from repro.engine.checkpoint import (
-            check_store_compatibility,
+            decode_checkpoints,
             load_quarantine_dir,
-            pattern_digest,
         )
-        from repro.engine.pool import _execute_inline
-        from repro.errors import CheckpointError
-        from repro.graph.io import parse_graph_text
 
         pairs = load_quarantine_dir(directory)
-        paths = [path for path, _ in pairs]
-        payloads = [payload for _, payload in pairs]
-        for payload in payloads:
-            check_store_compatibility(payload, self.store)
-        first = payloads[0]
-        pattern = parse_graph_text(
-            first["pattern"]["text"], name="quarantine"
+        replay = decode_checkpoints(
+            [payload for _, payload in pairs],
+            self.session,
+            max_embeddings,
+            time_limit,
+            obs or self.obs,
+            governor,
         )
-        if pattern_digest(pattern) != first["pattern"]["digest"]:
-            raise CheckpointError(
-                "quarantine residue pattern does not match its digest"
-                " (corrupt document)"
-            )
-        query = first["query"]
-        variant = Variant.parse(query["variant"])
-        restrictions = (
-            tuple((int(u), int(v)) for u, v in query["restrictions"])
-            if query["restrictions"]
-            else None
-        )
-        seed = (
-            {int(u): int(v) for u, v in query["seed"]}
-            if query.get("seed")
-            else None
-        )
-        limits = first["limits"]
-        if max_embeddings is ...:
-            max_embeddings = limits.get("max_embeddings")
-        if time_limit is ...:
-            time_limit = limits.get("time_limit")
-        obs = obs or self.obs
-        compiled = self.session.compile(
-            pattern,
-            variant,
-            planner=query["planner"],
-            restrictions=restrictions,
-            obs=obs,
-        )
-        options = MatchOptions(
-            count_only=True,
-            max_embeddings=max_embeddings,
-            time_limit=time_limit,
-            use_sce=bool(query["use_sce"]),
-            restrictions=restrictions,
-            seed=seed,
-            obs=obs if obs is not None and getattr(obs, "enabled", False) else None,
-            governor=governor,
-        )
-        result = _execute_inline(
-            compiled.physical,
-            options,
-            [dict(payload["state"]) for payload in payloads],
+        result = execute_physical(
+            replay.physical,
+            replace(replay.options, count_only=True),
+            units=replay.states,
+            emitted=replay.emitted,
         )
         if result.stop_reason is None and not keep_files:
-            for path in paths:
+            for path, _ in pairs:
                 try:
                     os.unlink(path)
                 except OSError:  # pragma: no cover - best-effort cleanup

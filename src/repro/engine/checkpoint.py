@@ -41,16 +41,19 @@ import hashlib
 import json
 import os
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.engine.executor import EmbeddingStream, SearchState
+from repro.engine.executor import EmbeddingStream, SearchState, specialize
 from repro.engine.results import STOP_QUARANTINED, MatchOptions
 from repro.errors import CheckpointError
+from repro.obs import merge_counters
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.ccsr.store import CCSRStore
     from repro.core.variants import Variant
     from repro.engine.governor import ResourceGovernor
+    from repro.engine.physical import PhysicalPlan
     from repro.engine.session import MatchSession
     from repro.graph.model import Graph
 
@@ -90,7 +93,7 @@ WIRE_MANIFESTS: dict[str, dict] = {
         ),
         "decoders": (
             "validate_checkpoint",
-            "restore_stream",
+            "decode_checkpoints:doc",
             "check_store_compatibility",
         ),
     },
@@ -109,7 +112,7 @@ WIRE_MANIFESTS: dict[str, dict] = {
             "quarantine",
         ),
         "encoders": ("PoolCheckpointDir.write_quarantine:payload",),
-        "decoders": ("validate_checkpoint",),
+        "decoders": ("validate_checkpoint", "decode_checkpoints:doc"),
     },
 }
 
@@ -127,10 +130,6 @@ _CANDIDATE_COUNTERS = (
     "intersections",
     "negation_checks",
 )
-
-#: Sentinel for "keep the checkpoint's limit" in resume overrides.
-KEEP = object()
-
 
 def _digest(obj: object) -> str:
     return hashlib.sha256(repr(obj).encode("utf-8")).hexdigest()
@@ -382,40 +381,65 @@ class CheckpointSink:
         return self.written
 
 
-def restore_stream(
-    payload: dict,
-    session: MatchSession,
-    max_embeddings: Any = KEEP,
-    time_limit: Any = KEEP,
-    governor: ResourceGovernor | None = None,
-    obs: Any = None,
-    checkpoint_path: str | os.PathLike | None = None,
-) -> EmbeddingStream:
-    """Rebuild a live :class:`EmbeddingStream` from a checkpoint document.
+@dataclass
+class Replay:
+    """A decoded set of checkpoint documents, ready to run: the query
+    (pattern, variant, planner, compiled plan, options), one unit state per
+    document, and the progress the documents had already confirmed."""
 
-    ``session`` is the :class:`repro.engine.session.MatchSession` holding
-    the (unchanged) store; the physical plan is recompiled through it —
-    planning is deterministic against an identical store, which the
-    compatibility guard enforces first. ``max_embeddings``/``time_limit``
-    default to the checkpoint's own limits (pass an override — including
-    ``None`` for unlimited — to change them; a fresh ``time_limit`` budget
-    restarts from resume time). ``checkpoint_path`` re-arms
-    auto-checkpointing on the resumed stream.
+    pattern: Graph
+    variant: Variant
+    planner: str
+    physical: PhysicalPlan
+    options: MatchOptions
+    states: list[dict]
+    emitted: int
+    counters: dict
+    degradation: list[str]
+
+
+def decode_checkpoints(
+    documents: list[dict],
+    session: MatchSession,
+    max_embeddings: Any = ...,
+    time_limit: Any = ...,
+    obs: Any = None,
+    governor: ResourceGovernor | None = None,
+) -> Replay:
+    """Decode checkpoint documents of one query into a :class:`Replay`.
+
+    The one decoder behind every replay path: a single-stream resume
+    (:func:`restore_stream`), a pool resume
+    (:func:`~repro.engine.pool.resume_parallel`) and a quarantine replay
+    (``CSCE.retry_quarantined``). Every document is validated and guarded
+    against ``session``'s store; the pattern, query and limits come from
+    the first (:func:`load_checkpoint_dir` has checked that they agree).
+    Any refusal is a :class:`~repro.errors.CheckpointError`.
+
+    ``max_embeddings``/``time_limit`` default (``...``) to the recorded
+    limits; pass an override — including ``None`` for unlimited — to
+    change them. The physical plan is recompiled through the session
+    (planning is deterministic against an identical store) and bound to
+    the recorded restrictions and seed. The returned options are not
+    ``count_only``; counting callers set that themselves.
     """
     from repro.core.variants import Variant
     from repro.graph.io import parse_graph_text
 
-    validate_checkpoint(payload)
-    check_store_compatibility(payload, session.store)
-
-    pattern_block = payload["pattern"]
-    pattern = parse_graph_text(pattern_block["text"], name="checkpoint")
-    if pattern_digest(pattern) != pattern_block.get("digest"):
+    if not documents:
+        raise CheckpointError("nothing to replay: no checkpoint documents")
+    # Every document read goes through the name ``doc``: it is what the
+    # wire_schema manifest entry "decode_checkpoints:doc" tracks.
+    for doc in documents:
+        validate_checkpoint(doc)
+        check_store_compatibility(doc, session.store)
+    doc = documents[0]
+    pattern = parse_graph_text(doc["pattern"]["text"], name="checkpoint")
+    if pattern_digest(pattern) != doc["pattern"].get("digest"):
         raise CheckpointError(
             "checkpoint pattern does not match its digest (corrupt document)"
         )
-
-    query = payload["query"]
+    query = doc["query"]
     variant = Variant.parse(query["variant"])
     planner = query["planner"]
     restrictions = (
@@ -428,53 +452,83 @@ def restore_stream(
         if query.get("seed")
         else None
     )
-    limits = payload["limits"]
-    if max_embeddings is KEEP:
-        max_embeddings = limits.get("max_embeddings")
-    if time_limit is KEEP:
-        time_limit = limits.get("time_limit")
-
-    compiled = session.compile(
-        pattern, variant, planner=planner, restrictions=restrictions, obs=obs
+    if max_embeddings is ...:
+        max_embeddings = doc["limits"].get("max_embeddings")
+    if time_limit is ...:
+        time_limit = doc["limits"].get("time_limit")
+    progress = [doc["progress"] for doc in documents]
+    degradation = max(
+        (list(p.get("degradation") or []) for p in progress), key=len
     )
-    progress = payload["progress"]
-    degradation = list(progress.get("degradation") or [])
     # A run that degraded past "disable_memo" must not re-enable the memo
     # on resume — the memory pressure that forced it off is still the
     # operative assumption until the governor says otherwise.
-    use_sce = bool(query["use_sce"]) and "disable_memo" not in degradation
     options = MatchOptions(
         max_embeddings=max_embeddings,
         time_limit=time_limit,
-        use_sce=use_sce,
+        use_sce=bool(query["use_sce"]) and "disable_memo" not in degradation,
         restrictions=restrictions,
         seed=seed,
         obs=obs if obs is not None and getattr(obs, "enabled", False) else None,
         governor=governor,
     )
+    compiled = session.compile(
+        pattern, variant, planner=planner, restrictions=restrictions, obs=obs
+    )
+    return Replay(
+        pattern=pattern,
+        variant=variant,
+        planner=planner,
+        physical=specialize(compiled.physical, options),
+        options=options,
+        states=[dict(doc["state"]) for doc in documents],
+        emitted=sum(int(p.get("emitted", 0)) for p in progress),
+        counters=merge_counters(*(p.get("counters") or {} for p in progress)),
+        degradation=degradation,
+    )
+
+
+def restore_stream(
+    payload: dict,
+    session: MatchSession,
+    max_embeddings: Any = ...,
+    time_limit: Any = ...,
+    governor: ResourceGovernor | None = None,
+    obs: Any = None,
+    checkpoint_path: str | os.PathLike | None = None,
+) -> EmbeddingStream:
+    """Rebuild a live :class:`EmbeddingStream` from a checkpoint document
+    (decoded by :func:`decode_checkpoints`, which documents the limit
+    overrides; a fresh ``time_limit`` budget restarts from resume time).
+    The restored counters keep stats cumulative across the boundary.
+    ``checkpoint_path`` re-arms auto-checkpointing on the resumed stream.
+    """
+    replay = decode_checkpoints(
+        [payload], session, max_embeddings, time_limit, obs, governor
+    )
     sink = None
     if checkpoint_path is not None:
         sink = CheckpointSink(
-            checkpoint_path, session.store, pattern, variant, planner
+            checkpoint_path, session.store, replay.pattern, replay.variant,
+            replay.planner,
         )
-    state = SearchState.from_payload(payload["state"])
     stream = EmbeddingStream(
-        compiled.physical,
-        options,
-        state=state,
-        emitted=int(progress["emitted"]),
+        replay.physical,
+        replay.options,
+        state=SearchState.from_payload(replay.states[0]),
+        emitted=replay.emitted,
         checkpoint_sink=sink,
     )
-    counters = progress.get("counters") or {}
     runtime = stream.runtime
+    counters = replay.counters
     for key in _RUNTIME_COUNTERS:
         if key in counters:
             setattr(runtime, key, int(counters[key]))
     for key in _CANDIDATE_COUNTERS:
         if key in counters:
             setattr(runtime.computer.stats, key, int(counters[key]))
-    runtime.degradation = degradation
-    runtime.gov_stage = 2 if "disable_memo" in degradation else 0
+    runtime.degradation = replay.degradation
+    runtime.gov_stage = 2 if "disable_memo" in replay.degradation else 0
     return stream
 
 

@@ -816,7 +816,10 @@ class EmbeddingStream:
 
 
 def execute_physical(
-    physical: PhysicalPlan, options: MatchOptions | None = None
+    physical: PhysicalPlan,
+    options: MatchOptions | None = None,
+    units: list[dict] | None = None,
+    emitted: int = 0,
 ) -> MatchResult:
     """Run a compiled plan to completion and package the result.
 
@@ -825,6 +828,14 @@ def execute_physical(
     :func:`factorizable` (uncapped, unrestricted, unseeded). Limits
     surface as ``stop_reason`` with the partial count, never as
     exceptions.
+
+    ``units`` (count mode) replaces the fresh search with a list of
+    portable :class:`SearchState` payloads — pool work units or replayed
+    checkpoint states — counted one after another on one runtime, so the
+    cap, deadline and governor span them all; the loop stops at the first
+    ``stop_reason``. ``emitted`` is progress already confirmed elsewhere
+    (a resumed checkpoint's): the cap applies to the folded total, and
+    ``count`` includes it.
     """
     options = options or MatchOptions()
     if options.workers > 1:
@@ -852,12 +863,21 @@ def execute_physical(
     gov = options.governor
     try:
         runtime = Runtime(physical, options)
+        runtime.emitted = emitted
         with obs.tracer.span(
             "execute",
             mode="count" if options.count_only else "enumerate",
             variant=plan.variant.value,
         ) as span:
-            if options.count_only:
+            if options.count_only and units is not None:
+                for payload in units:
+                    count_capped(
+                        physical, runtime, SearchState.from_payload(payload)
+                    )
+                    if runtime.stop_reason is not None:
+                        break
+                count = runtime.emitted
+            elif options.count_only:
                 count = count_capped(
                     physical,
                     runtime,

@@ -33,8 +33,11 @@ worker's pipe is read to its end before its unit is recovered, so a
 
 Budgets derive from the parent's: the deadline is shipped as an absolute
 ``time.perf_counter`` value (valid across ``fork`` — CLOCK_MONOTONIC is
-system-wide), the memory ceiling is divided evenly, and each dispatch
-caps the unit at the pool cap minus the confirmed total. Every worker
+system-wide), the memory ceiling is divided evenly, and an embedding
+cap is split into per-unit *reservations*: a dispatch reserves part of
+the headroom left after the confirmed total and every outstanding
+reservation, so the pool can never count past its cap. A unit that uses
+up its reservation returns its residual to the queue. Every worker
 runs its own :class:`~repro.engine.governor.ResourceGovernor` wired to a
 shared cancel event, so a parent-initiated stop (SIGINT, inspector
 ``cancel``, budget breach) drains the pool cooperatively, each worker
@@ -84,9 +87,15 @@ import signal
 import time
 
 from collections import deque
+from dataclasses import replace
 from typing import TYPE_CHECKING, Callable
 
-from repro.engine.executor import Runtime, SearchState, count_capped
+from repro.engine.executor import (
+    Runtime,
+    SearchState,
+    count_capped,
+    execute_physical,
+)
 from repro.engine.governor import Budget, ResourceGovernor
 from repro.engine.physical import PhysicalPlan
 from repro.engine.results import (
@@ -540,6 +549,9 @@ class _PoolDriver:
         self.cancel_event = _SharedFlag()
         self.need_work = _SharedFlag()
         self.confirmed = prior_emitted
+        # Embeddings reserved by in-flight units under a cap: confirmed +
+        # reserved never exceeds it (see _dispatch).
+        self.reserved = 0
         self.initiated: str | None = None
         self.worker_stops: set[str] = set()
         self.sentinels_sent = False
@@ -560,6 +572,7 @@ class _PoolDriver:
             "attempts": 0,
             "status": "pending",
             "worker": None,
+            "reserve": 0,
         }
         self.pending.append(uid)
         return uid
@@ -625,13 +638,41 @@ class _PoolDriver:
         if self.on_event is not None:
             self.on_event(kind, payload)
 
-    def _bank(self, wid: str, d_emitted: int, d_stats: dict) -> None:
+    def _bank(self, wid: str, uid: int, d_emitted: int, d_stats: dict) -> None:
         """Merge a worker's delta into the confirmed totals — exactly
-        once per message, the exactness invariant."""
+        once per message, the exactness invariant. Under a cap the banked
+        embeddings move from the unit's reservation to the total."""
         agg = self._agg(wid)
         agg["emitted"] += int(d_emitted)
         agg["stats"] = merge_counters(agg["stats"], d_stats)
         self.confirmed += int(d_emitted)
+        unit = self.units.get(uid)
+        if unit is not None and unit["reserve"]:
+            taken = min(unit["reserve"], int(d_emitted))
+            unit["reserve"] -= taken
+            self.reserved -= taken
+
+    def merged_stats(self) -> dict:
+        """Exact merged counters: the resumed prior plus every bank."""
+        return merge_counters(
+            self.prior_counters,
+            *(agg["stats"] for agg in self.per_worker.values()),
+        )
+
+    def degradation(self) -> list[str]:
+        """The furthest degradation ladder any worker reached."""
+        return list(max(
+            (agg["degradation"] for agg in self.per_worker.values()),
+            key=len,
+            default=[],
+        ))
+
+    def _release(self, uid: int) -> None:
+        """Return what is left of a unit's reservation to the headroom."""
+        unit = self.units.get(uid)
+        if unit is not None:
+            self.reserved -= unit["reserve"]
+            unit["reserve"] = 0
 
     def _initiate(self, reason: str) -> None:
         """First fatal wins: record the pool's stop reason, trip the
@@ -691,7 +732,7 @@ class _PoolDriver:
                 worker["beats"] += 1
         elif kind == "split":
             _, wid, uid, kept, donated, d_emitted, d_stats = msg
-            self._bank(wid, d_emitted, d_stats)
+            self._bank(wid, uid, d_emitted, d_stats)
             unit = self.units.get(uid)
             if unit is not None:
                 unit["payload"] = kept
@@ -706,7 +747,8 @@ class _PoolDriver:
             (_, wid, uid, snapshot, d_emitted, stop_reason, degradation,
              elapsed, residual) = msg
             snap = WorkerSnapshot.from_dict(snapshot)
-            self._bank(wid, d_emitted, snap.stats)
+            self._bank(wid, uid, d_emitted, snap.stats)
+            self._release(uid)
             agg = self._agg(wid)
             agg["units"] += 1
             agg["execute_seconds"] += float(elapsed)
@@ -718,6 +760,14 @@ class _PoolDriver:
                 return
             if stop_reason is None:
                 unit["status"] = "done"
+            elif stop_reason == STOP_EMBEDDING_LIMIT and residual is not None:
+                # Only a reservation caps a worker: the unit used its
+                # share, not the pool's cap. Its residual goes back on
+                # the queue; _check_budgets stops the pool at the cap.
+                unit["payload"] = residual
+                unit["status"] = "pending"
+                unit["worker"] = None
+                self.pending.appendleft(uid)
             else:
                 unit["status"] = "stopped"
                 if residual is not None:
@@ -761,6 +811,7 @@ class _PoolDriver:
         current payload is exact. At the attempt cap the unit is
         *quarantined* — never a raise — so one poison unit cannot abort
         an otherwise healthy match."""
+        self._release(uid)
         unit = self.units.get(uid)
         if unit is None or unit["status"] in ("done", "stopped", "quarantined"):
             return
@@ -901,19 +952,27 @@ class _PoolDriver:
     def _dispatch(self) -> None:
         if self._stopping():
             return
-        for wid in self.worker_order:
+        idle = [
+            wid for wid in self.worker_order
+            if self.workers[wid]["state"] == "idle"
+        ]
+        for i, wid in enumerate(idle):
             if not self.pending:
                 break
-            worker = self.workers[wid]
-            if worker["state"] != "idle":
-                continue
+            cap = None
+            if self.cap is not None:
+                # Reserve an equal share of the headroom for each idle
+                # worker left to serve; none left means wait for banks.
+                headroom = self.cap - self.confirmed - self.reserved
+                if headroom <= 0:
+                    break
+                cap = -(-headroom // min(len(idle) - i, len(self.pending)))
             uid = self.pending.popleft()
             unit = self.units[uid]
-            cap = (
-                None
-                if self.cap is None
-                else max(1, self.cap - self.confirmed)
-            )
+            if cap is not None:
+                unit["reserve"] = cap
+                self.reserved += cap
+            worker = self.workers[wid]
             worker["queue"].put((uid, unit["payload"], cap))
             unit["status"] = "queued"
             unit["worker"] = wid
@@ -978,13 +1037,8 @@ class _PoolDriver:
         runtime.nodes = nodes
         runtime.stop_reason = self.initiated
         runtime.progress = self.estimator
-        merged = merge_counters(
-            self.prior_counters,
-            *(agg["stats"] for agg in self.per_worker.values()),
-        )
-        runtime._stats = merged
-        ladders = [agg["degradation"] for agg in self.per_worker.values()]
-        runtime.degradation = max(ladders, key=len, default=[])
+        runtime._stats = self.merged_stats()
+        runtime.degradation = self.degradation()
         rows = []
         now = time.perf_counter()
         ages = []
@@ -1234,10 +1288,7 @@ def _package_result(
     merged = merge_run_reports(reports, workers=tags)
     if quarantined:
         merged["shards"]["quarantined_units"] = quarantined
-    stats = merge_counters(
-        driver.prior_counters,
-        *(driver.per_worker[wid]["stats"] for wid in driver.worker_order),
-    )
+    stats = driver.merged_stats()
     if driver.estimator is not None and merged_stop is None:
         driver.estimator.complete()
     progress = (
@@ -1299,6 +1350,17 @@ def execute_parallel(
         )
     if options.workers < 1:
         raise PoolError(f"workers must be positive: {options.workers}")
+    try:
+        ctx = multiprocessing.get_context("fork")
+    except ValueError:
+        ctx = None
+    if ctx is None or not physical.ops:
+        # No fork on this platform (or a degenerate zero-op plan, which
+        # only the sequential machine handles): the executor counts the
+        # same units in this process, packaged as a one-worker pool.
+        return _execute_sequential(
+            physical, options, initial_units, prior_emitted, prior_counters
+        )
     obs = options.obs or NULL_OBS
     recorder = getattr(obs, "recorder", None)
     if recorder is not None and recorder.enabled:
@@ -1309,24 +1371,11 @@ def execute_parallel(
             ops=len(physical.ops),
             workers=options.workers,
         )
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        ctx = None
     if initial_units is not None:
         units = list(initial_units)
     else:
         units = make_root_units(
             physical, options.workers * DEFAULT_UNITS_PER_WORKER
-        )
-    if ctx is None or not physical.ops:
-        # No fork on this platform (or a degenerate zero-op plan, which
-        # only the sequential machine handles): same work units, one
-        # process, same exact merge.
-        return _execute_inline(
-            physical, options,
-            None if not physical.ops else units,
-            prior_emitted, prior_counters,
         )
     driver = _PoolDriver(
         ctx,
@@ -1346,6 +1395,37 @@ def execute_parallel(
     return _package_result(physical, options, driver, merged_stop, elapsed)
 
 
+def _execute_sequential(
+    physical: PhysicalPlan,
+    options: MatchOptions,
+    units: list[dict] | None,
+    prior_emitted: int,
+    prior_counters: dict | None,
+) -> MatchResult:
+    """The pool's single-process fallback: the executor's count path over
+    ``units`` (a fresh search when ``None``) with the prior progress
+    folded in, reported as one ``w0`` shard. Exact, since it is the
+    sequential machine over an exact partition."""
+    result = execute_physical(
+        physical, replace(options, workers=1), units, prior_emitted
+    )
+    shard = _shard_report(
+        physical.logical.variant.value,
+        result.count - prior_emitted,
+        stop_reason=result.stop_reason,
+        degradation=result.degradation,
+        execute_seconds=result.elapsed,
+        counters=result.stats,
+    )
+    result.shards = merge_run_reports([shard], workers=["w0"])["shards"]
+    if prior_counters:
+        result.stats = merge_counters(prior_counters, result.stats)
+        obs = options.obs or NULL_OBS
+        if obs.enabled:
+            obs.counters.merge(prior_counters)
+    return result
+
+
 def _maybe_checkpoint(
     driver: _PoolDriver,
     options: MatchOptions,
@@ -1359,124 +1439,14 @@ def _maybe_checkpoint(
                 options,
                 unfinished,
                 driver.confirmed,
-                merge_counters(
-                    driver.prior_counters,
-                    *(
-                        driver.per_worker[wid]["stats"]
-                        for wid in driver.worker_order
-                    ),
-                ),
+                driver.merged_stats(),
                 merged_stop,
-                list(
-                    max(
-                        (
-                            agg["degradation"]
-                            for agg in driver.per_worker.values()
-                        ),
-                        key=len,
-                        default=[],
-                    )
-                ),
+                driver.degradation(),
             )
             driver._record(
                 "checkpoint", path=checkpoint.directory,
                 emitted=driver.confirmed, shards=len(written),
             )
-
-
-def _execute_inline(
-    physical: PhysicalPlan,
-    options: MatchOptions,
-    units: list[dict] | None,
-    prior_emitted: int = 0,
-    prior_counters: dict | None = None,
-) -> MatchResult:
-    """Single-process fallback (no ``fork`` start method, or a zero-op
-    plan): run the same work units sequentially in this process and
-    package them as a one-worker pool result. Exactness is trivial —
-    it is the sequential machine over an exact partition."""
-    started = time.perf_counter()
-    plan = physical.logical
-    obs = options.obs or NULL_OBS
-    gov = options.governor
-    deadline = None
-    cap = options.max_embeddings
-    if gov is not None:
-        gov.ensure_tracing()
-        deadline = gov.effective_deadline(options.time_limit)
-        cap = gov.effective_cap(options.max_embeddings)
-    elif options.time_limit is not None:
-        deadline = time.perf_counter() + options.time_limit
-    total = prior_emitted
-    shard_stats: dict = {}
-    stop_reason: str | None = None
-    degradation: list[str] = []
-    execute_seconds = 0.0
-    try:
-        work = [None] if units is None else list(units)
-        for payload in work:
-            remaining_time = (
-                max(0.001, deadline - time.perf_counter())
-                if deadline is not None
-                else None
-            )
-            unit_options = MatchOptions(
-                count_only=True,
-                max_embeddings=(
-                    None if cap is None else max(1, cap - total)
-                ),
-                time_limit=remaining_time,
-                use_sce=options.use_sce,
-                restrictions=options.restrictions,
-                seed=options.seed,
-                memo_limit=options.memo_limit,
-                obs=options.obs,
-            )
-            runtime = Runtime(physical, unit_options)
-            state = (
-                SearchState.from_payload(payload)
-                if payload is not None
-                else None
-            )
-            unit_started = time.perf_counter()
-            emitted = count_capped(physical, runtime, state)
-            execute_seconds += time.perf_counter() - unit_started
-            total += emitted
-            shard_stats = merge_counters(shard_stats, runtime.stats())
-            if len(runtime.degradation) > len(degradation):
-                degradation = list(runtime.degradation)
-            if runtime.stop_reason is not None:
-                stop_reason = runtime.stop_reason
-                break
-    finally:
-        if gov is not None:
-            gov.release()
-    stats = merge_counters(prior_counters or {}, shard_stats)
-    if obs.enabled:
-        obs.counters.merge(stats)
-    shard = _shard_report(
-        plan.variant.value,
-        total - prior_emitted,
-        stop_reason=stop_reason,
-        degradation=degradation,
-        execute_seconds=execute_seconds,
-        counters=shard_stats,
-    )
-    merged = merge_run_reports([shard], workers=["w0"])
-    return MatchResult(
-        count=total,
-        variant=plan.variant,
-        embeddings=None,
-        elapsed=time.perf_counter() - started,
-        read_seconds=plan.task_clusters.read_seconds,
-        plan_seconds=max(0.0, plan.plan_seconds),
-        compile_seconds=physical.compile_seconds,
-        stop_reason=stop_reason,
-        degradation=degradation,
-        progress=None,
-        stats=stats,
-        shards=merged["shards"],
-    )
 
 
 def resume_parallel(
@@ -1497,83 +1467,21 @@ def resume_parallel(
     """Resume a partially-completed pool from its shard checkpoints.
 
     ``payloads`` is what :func:`~repro.engine.checkpoint.load_checkpoint_dir`
-    returned: every shard's compatibility guards are enforced against
-    ``session``'s store, unfinished unit states are re-enqueued, and the
-    confirmed progress (shard 0 carries the merged emitted count and
-    counters) is folded into the final exact total. ``max_embeddings`` /
-    ``time_limit`` default to the checkpoint's recorded limits (pass an
-    override — including ``None`` for unlimited — to change them);
-    ``checkpoint_dir`` re-arms pool checkpointing for another suspend.
+    returned; :func:`~repro.engine.checkpoint.decode_checkpoints` guards
+    and decodes them (and documents the limit overrides). The unfinished
+    unit states are re-enqueued, and the confirmed progress (shard 0
+    carries the merged emitted count and counters) is folded into the
+    final exact total. ``checkpoint_dir`` re-arms pool checkpointing for
+    another suspend.
     """
-    from repro.core.variants import Variant
-    from repro.engine.checkpoint import (
-        KEEP,
-        PoolCheckpointDir,
-        check_store_compatibility,
-        pattern_digest,
-        validate_checkpoint,
-    )
-    from repro.graph.io import parse_graph_text
+    from repro.engine.checkpoint import PoolCheckpointDir, decode_checkpoints
 
-    if not payloads:
-        raise PoolError("resume_parallel needs at least one shard payload")
-    if max_embeddings is ...:
-        max_embeddings = KEEP
-    if time_limit is ...:
-        time_limit = KEEP
-    first = payloads[0]
-    for payload in payloads:
-        validate_checkpoint(payload)
-        check_store_compatibility(payload, session.store)
-    pattern_block = first["pattern"]
-    pattern = parse_graph_text(pattern_block["text"], name="checkpoint")
-    if pattern_digest(pattern) != pattern_block.get("digest"):
-        raise PoolError(
-            "pool checkpoint pattern does not match its digest"
-            " (corrupt document)"
-        )
-    query = first["query"]
-    variant = Variant.parse(query["variant"])
-    planner = query["planner"]
-    restrictions = (
-        tuple((int(u), int(v)) for u, v in query["restrictions"])
-        if query["restrictions"]
-        else None
+    replay = decode_checkpoints(
+        payloads, session, max_embeddings, time_limit, obs, governor
     )
-    seed = (
-        {int(u): int(v) for u, v in query["seed"]}
-        if query.get("seed")
-        else None
-    )
-    limits = first["limits"]
-    if max_embeddings is KEEP:
-        max_embeddings = limits.get("max_embeddings")
-    if time_limit is KEEP:
-        time_limit = limits.get("time_limit")
-    compiled = session.compile(
-        pattern, variant, planner=planner, restrictions=restrictions, obs=obs
-    )
-    prior_emitted = sum(
-        int(p["progress"].get("emitted", 0)) for p in payloads
-    )
-    prior_counters = merge_counters(
-        *(p["progress"].get("counters") or {} for p in payloads)
-    )
-    degradation: list[str] = max(
-        (list(p["progress"].get("degradation") or []) for p in payloads),
-        key=len,
-        default=[],
-    )
-    use_sce = bool(query["use_sce"]) and "disable_memo" not in degradation
-    options = MatchOptions(
+    options = replace(
+        replay.options,
         count_only=True,
-        max_embeddings=max_embeddings,
-        time_limit=time_limit,
-        use_sce=use_sce,
-        restrictions=restrictions,
-        seed=seed,
-        obs=obs if obs is not None and getattr(obs, "enabled", False) else None,
-        governor=governor,
         workers=workers,
         stall_timeout=stall_timeout,
         max_respawns=max_respawns,
@@ -1582,14 +1490,15 @@ def resume_parallel(
     checkpoint = None
     if checkpoint_dir is not None:
         checkpoint = PoolCheckpointDir(
-            checkpoint_dir, session.store, pattern, variant, planner
+            checkpoint_dir, session.store, replay.pattern, replay.variant,
+            replay.planner,
         )
     return execute_parallel(
-        compiled.physical,
+        replay.physical,
         options,
-        initial_units=[dict(p["state"]) for p in payloads],
-        prior_emitted=prior_emitted,
-        prior_counters=prior_counters,
+        initial_units=replay.states,
+        prior_emitted=replay.emitted,
+        prior_counters=replay.counters,
         checkpoint=checkpoint,
         monitor=monitor,
         on_event=on_event,

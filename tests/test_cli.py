@@ -213,6 +213,24 @@ class TestRobustnessFlags:
         assert code == 2
         assert "store" in capsys.readouterr().err
 
+    def test_pool_resume_refuses_mutated_data(self, tmp_path, capsys):
+        from conftest import make_random_graph
+
+        data = self._graph_file(tmp_path)
+        shards = tmp_path / "shards"
+        assert main(["match", "--data", data, "--pattern-size", "4",
+                     "--limit", "3", "--workers", "2",
+                     "--checkpoint", str(shards)]) == 0
+        capsys.readouterr()
+        assert list(shards.glob("shard-*.json"))
+        mutated = tmp_path / "mutated.graph"
+        save_graph(make_random_graph(31, 80, num_labels=1, seed=2), mutated)
+        code = main(["match", "--data", str(mutated), "--resume",
+                     str(shards), "--workers", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "store" in err
+
     def test_lenient_data_file(self, tmp_path, capsys):
         path = tmp_path / "dirty.graph"
         path.write_text("t 3 2\nv 0 0\nv 1 0\nv 2 0\ne 0 1\nbroken\ne 1 2\n")

@@ -11,7 +11,9 @@ search space, so executing the pieces and summing reproduces the whole.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
+import shutil
 import signal
 
 import pytest
@@ -54,6 +56,22 @@ def graph():
 @pytest.fixture(scope="module")
 def engine(graph):
     return CSCE(graph)
+
+
+@pytest.fixture(scope="module")
+def capped_shards(engine, tmp_path_factory):
+    """A shard directory written by a capped two-worker run, and the
+    uncapped sequential count its replays must fold back to."""
+    pattern = CATALOG["square"]()
+    total = engine.match(pattern, "edge_induced", count_only=True).count
+    cp_dir = tmp_path_factory.mktemp("capped") / "shards"
+    partial = engine.match(
+        pattern, "edge_induced", count_only=True, workers=2,
+        max_embeddings=total // 3, pool_checkpoint_dir=str(cp_dir),
+    )
+    assert partial.stop_reason == "embedding_limit"
+    assert partial.count == total // 3
+    return cp_dir, total
 
 
 def compiled(engine, pattern, variant, **options):
@@ -281,9 +299,9 @@ class TestChaos:
                            workers=2, max_embeddings=cap)
         assert par.stop_reason == "embedding_limit"
         assert par.truncated
-        # Cooperative cap: at least the cap, never the full count (each
-        # in-flight unit may finish its last banked batch).
-        assert cap <= par.count <= seq.count
+        # Each dispatch reserves a share of the headroom, so the pool
+        # stops exactly at the cap, as the sequential count does.
+        assert par.count == cap
 
     def test_stop_severity_order_is_stable(self):
         # The severity ladder is the documented merge tie-break; keep it
@@ -325,6 +343,52 @@ class TestPoolCheckpoints:
         resumed = engine.resume_pool(str(cp_dir), workers=2,
                                      max_embeddings=None)
         assert resumed.count == seq.count
+
+    @pytest.mark.parametrize(
+        "route", ["resume_pool", "no_fork", "per_shard", "quarantine"]
+    )
+    def test_replay_routes_fold_to_sequential(
+        self, engine, capped_shards, route, tmp_path, monkeypatch
+    ):
+        # Every replay path decodes the same shards and must fold the
+        # confirmed progress plus the unit states to the same exact total.
+        source, total = capped_shards
+        cp_dir = tmp_path / "shards"
+        shutil.copytree(source, cp_dir)
+        if route in ("resume_pool", "no_fork"):
+            if route == "no_fork":
+                def no_fork(method=None):
+                    raise ValueError("cannot find context for 'fork'")
+
+                monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+            result = engine.resume_pool(
+                str(cp_dir), workers=2, max_embeddings=None
+            )
+            # The fallback reports one in-process shard; the pool reports
+            # its workers plus the checkpointed progress.
+            assert result.shards["workers"][0] == (
+                "w0" if route == "no_fork" else "checkpoint"
+            )
+            folded = result.count
+        elif route == "per_shard":
+            folded = 0
+            for shard in sorted(cp_dir.glob("shard-*.json")):
+                with engine.resume(str(shard), max_embeddings=None) as stream:
+                    for _ in stream:
+                        pass
+                assert stream.stop_reason is None
+                folded += stream.count
+        else:
+            for i, shard in enumerate(sorted(cp_dir.glob("shard-*.json"))):
+                shard.rename(cp_dir / f"quarantine-{i:04d}.json")
+            # Real residue carries zero progress; these documents carry
+            # shard 0's confirmed count, which the replay folds in.
+            result = engine.retry_quarantined(
+                str(cp_dir), max_embeddings=None
+            )
+            assert result.stop_reason is None
+            folded = result.count
+        assert folded == total
 
     def test_load_checkpoint_dir_rejects_empty(self, tmp_path):
         with pytest.raises(CheckpointError):
