@@ -194,9 +194,9 @@ class CSCE:
             :meth:`resume_pool` continues from it with exact combined
             counts. Requires a session-compiled plan (no ``plan=``).
         pool_monitor:
-            With ``workers > 1``: a :class:`repro.engine.PoolMonitor` the
-            pool keeps refreshed with merged counters and per-worker rows
-            (the live `csce top` hook for parallel runs).
+            With ``workers > 1``: a :class:`repro.engine.PoolMonitor`
+            that reads the pool's live merged counters and per-worker
+            rows (the live `csce top` hook for parallel runs).
         stall_timeout:
             With ``workers > 1``: seconds a busy worker may go silent
             before the stall watchdog SIGKILLs it and re-dispatches its

@@ -206,7 +206,7 @@ class Runtime:
         "progress",
         "search_state",
         "chain",
-        "_deadline",
+        "deadline",
         "_heartbeat",
         "_recorder",
         "_ticking",
@@ -242,10 +242,10 @@ class Runtime:
         if gov is not None:
             gov.ensure_tracing()
             self.max_embeddings = gov.effective_cap(options.max_embeddings)
-            self._deadline = gov.effective_deadline(options.time_limit)
+            self.deadline = gov.effective_deadline(options.time_limit)
         else:
             self.max_embeddings = options.max_embeddings
-            self._deadline = (
+            self.deadline = (
                 time.perf_counter() + options.time_limit
                 if options.time_limit is not None
                 else None
@@ -272,7 +272,7 @@ class Runtime:
         # injector, live heartbeat, recorder, or progress estimator, tick
         # never computes the modulo.
         self._ticking = (
-            self._deadline is not None
+            self.deadline is not None
             or self._heartbeat.enabled
             or gov is not None
             or self._recorder.enabled
@@ -351,21 +351,26 @@ class Runtime:
                     "tick", nodes=self.nodes, emitted=self.emitted,
                     depth=depth, phase=phase,
                 )
-            gov = self.governor
-            if gov is not None:
-                reason = gov.check(self)
-                if reason is not None:
-                    self.stop_reason = reason
-                    self.note_stop(reason, depth)
-                    return False
-            if (
-                self._deadline is not None
-                and time.perf_counter() > self._deadline
-            ):
-                self.stop_reason = STOP_TIME_LIMIT
-                self.note_stop(STOP_TIME_LIMIT, depth)
+            reason = self.check_limits()
+            if reason is not None:
+                self.stop_reason = reason
+                self.note_stop(reason, depth)
                 return False
         return True
+
+    def check_limits(self) -> str | None:
+        """The limits polled at every tick boundary: the governor's check
+        (cancel token, tightened budget, memory ladder), then the
+        deadline. Returns the stop reason, or ``None`` to go on. The
+        pool's parent loop polls its own Runtime through this too."""
+        gov = self.governor
+        if gov is not None:
+            reason = gov.check(self)
+            if reason is not None:
+                return reason
+        if self.deadline is not None and time.perf_counter() > self.deadline:
+            return STOP_TIME_LIMIT
+        return None
 
     def release(self) -> None:
         """Return governor-owned resources (tracemalloc) after the run."""

@@ -36,7 +36,7 @@ a single attribute check per tick window.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, TypeVar
 
 import random
 import threading
@@ -61,6 +61,18 @@ DEGRADE_SUSPEND = "suspend"
 
 #: Fraction of the memo evicted on the ladder's first rung.
 EVICT_FRACTION = 0.5
+
+
+_Limit = TypeVar("_Limit", int, float)
+
+
+def _smaller(a: _Limit | None, b: _Limit | None) -> _Limit | None:
+    """The tighter of two optional limits (``None`` is unlimited)."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return min(a, b)
 
 
 @dataclass(frozen=True)
@@ -200,18 +212,10 @@ class ResourceGovernor:
                     or max_embeddings < self._cap_override
                 ):
                     self._cap_override = max_embeddings
-
-            def _min(a, b):
-                if a is None:
-                    return b
-                if b is None:
-                    return a
-                return min(a, b)
-
             self.budget = Budget(
-                time_limit=_min(old.time_limit, time_limit),
-                max_embeddings=_min(old.max_embeddings, max_embeddings),
-                memory_limit_mb=_min(old.memory_limit_mb, memory_limit_mb),
+                time_limit=_smaller(old.time_limit, time_limit),
+                max_embeddings=_smaller(old.max_embeddings, max_embeddings),
+                memory_limit_mb=_smaller(old.memory_limit_mb, memory_limit_mb),
             )
         # A newly-imposed memory ceiling needs sampling to be live.
         self.ensure_tracing()
@@ -236,9 +240,9 @@ class ResourceGovernor:
         """One governance step; returns a stop reason or ``None``.
 
         ``run`` is the executor's ``Runtime`` (the pool's parent loop
-        passes a probe with the same fields): ``computer`` (a
-        :class:`~repro.engine.candidates.CandidateComputer`, whose
-        candidate and region memos the ladder evicts and disables),
+        passes its own, with ``emitted`` set to the pool's live total):
+        ``computer`` (a :class:`~repro.engine.candidates.CandidateComputer`,
+        whose candidate and region memos the ladder evicts and disables),
         ``degradation`` (list of ladder events), ``gov_stage`` (int ladder
         position, starts at 0) and ``emitted``. Called from ``tick()`` at
         the same cadence as the deadline check, so its cost is amortized over
@@ -310,23 +314,29 @@ class ResourceGovernor:
             recorder.record("degrade", rung=rung, stage=stage)
 
     # -- convenience ---------------------------------------------------
+    def limits(
+        self,
+        time_limit: float | None = None,
+        max_embeddings: int | None = None,
+    ) -> Budget:
+        """The budget a run with these per-run options enforces: each
+        limit the tighter of the option and the current budget, so a
+        :meth:`tighten` shows."""
+        budget = self.budget
+        return Budget(
+            time_limit=_smaller(time_limit, budget.time_limit),
+            max_embeddings=_smaller(max_embeddings, budget.max_embeddings),
+            memory_limit_mb=budget.memory_limit_mb,
+        )
+
     def effective_deadline(self, time_limit: float | None) -> float | None:
         """Absolute deadline combining the budget with a per-run option."""
-        limits = [
-            t for t in (time_limit, self.budget.time_limit) if t is not None
-        ]
-        if not limits:
-            return None
-        return time.perf_counter() + min(limits)
+        limit = self.limits(time_limit=time_limit).time_limit
+        return None if limit is None else time.perf_counter() + limit
 
     def effective_cap(self, max_embeddings: int | None) -> int | None:
         """Embedding cap combining the budget with a per-run option."""
-        caps = [
-            c
-            for c in (max_embeddings, self.budget.max_embeddings)
-            if c is not None
-        ]
-        return min(caps) if caps else None
+        return self.limits(max_embeddings=max_embeddings).max_embeddings
 
     def __repr__(self) -> str:
         return (

@@ -88,6 +88,7 @@ import time
 
 from collections import deque
 from dataclasses import replace
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable
 
 from repro.engine.executor import (
@@ -242,72 +243,44 @@ class _SharedCancelToken:
         self._event.set()
 
 
-class _NullComputer:
-    """Stand-in candidate computer for the parent's governor probe: the
-    memory ladder's evict/disable hooks have nothing to act on in the
-    parent process (the memos live in the workers)."""
-
-    def evict(self) -> int:
-        return 0
-
-    def disable_memo(self) -> None:
-        return None
-
-
-class _ParentProbe:
-    """The minimal runtime surface :meth:`ResourceGovernor.check` needs,
-    so the parent drive loop honors cancel tokens, inspector-tightened
-    budgets, and the memory ladder between queue drains."""
-
-    def __init__(self) -> None:
-        self.computer = _NullComputer()
-        self.degradation: list[str] = []
-        self.gov_stage = 0
-        self.emitted = 0
-
-
-class _PoolRuntime:
-    """Duck-typed ``stream.runtime`` for the live inspector: the parent
-    drive loop refreshes these fields each iteration, and the inspector's
-    heartbeat listener samples them exactly like a sequential run's
-    :class:`~repro.engine.executor.Runtime`."""
-
-    def __init__(self) -> None:
-        self.emitted = 0
-        self.nodes = 0
-        self.stop_reason: str | None = None
-        self.degradation: list[str] = []
-        self.gov_stage = 0
-        self.progress: ProgressEstimator | None = None
-        self._stats: dict = {}
-
-    def stats(self) -> dict:
-        return dict(self._stats)
+#: What a :class:`PoolMonitor` reads before its pool's driver exists:
+#: the inspector attaches, and may be asked for status, before the pool
+#: has started.
+_NOT_STARTED = SimpleNamespace(
+    emitted=0, nodes=0, stop_reason=None, degradation=(), gov_stage=0,
+    progress=None, options=MatchOptions(), stats=dict,
+)
 
 
 class PoolMonitor:
-    """Duck-typed "stream" the :class:`~repro.obs.inspect.MatchInspector`
-    can attach to while a pool run is live: ``runtime`` mirrors the merged
-    pool state, ``worker_rows()`` feeds the per-worker table in
-    ``csce top``. ``checkpoint_sink`` stays ``None`` — the inspector's
-    ``checkpoint-now`` answers "no checkpoint target" (pool checkpoints
-    are directory-scoped and written at stop time)."""
+    """The "stream" a :class:`~repro.obs.inspect.MatchInspector` attaches
+    to for a pool run. It reads the live :class:`_PoolDriver` directly:
+    ``runtime`` is the driver itself, which answers the fields the
+    inspector samples with merged pool values; ``worker_rows()`` feeds
+    the per-worker table in ``csce top`` and ``health()`` the ``health``
+    command. The inspector samples on the heartbeat the driver beats, so
+    every read runs on the driver's thread. ``checkpoint_sink`` stays
+    ``None`` — the inspector's ``checkpoint-now`` answers "no checkpoint
+    target" (pool checkpoints are directory-scoped and written at stop
+    time)."""
 
     def __init__(self) -> None:
-        self.runtime = _PoolRuntime()
+        self.driver: _PoolDriver | None = None
         self.checkpoint_sink = None
-        self._rows: list[dict] = []
-        self._health: dict = {}
+
+    @property
+    def runtime(self) -> "_PoolDriver | SimpleNamespace":
+        return self.driver if self.driver is not None else _NOT_STARTED
 
     def worker_rows(self) -> list[dict]:
-        return [dict(row) for row in self._rows]
+        return self.driver.worker_rows() if self.driver is not None else []
 
     def health(self) -> dict:
         """Supervision snapshot for the inspector's ``health`` command:
         ``{"stall_timeout", "stall_kills", "quarantined_units",
-        "respawns_left", "max_beat_age"}`` — refreshed by the parent
-        drive loop each iteration."""
-        return dict(self._health)
+        "respawns_left", "max_beat_age"}`` (empty before the pool
+        starts)."""
+        return self.driver.health() if self.driver is not None else {}
 
 
 # ----------------------------------------------------------------------
@@ -480,7 +453,14 @@ def _worker_main(
 # ----------------------------------------------------------------------
 class _PoolDriver:
     """The parent drive loop: dispatch, steal arbitration, delta banking,
-    death recovery, budget enforcement, and exact merging."""
+    death recovery, budget enforcement, and exact merging.
+
+    The loop runs on one :class:`~repro.engine.executor.Runtime`, built
+    like a single-process run's: it folds the deadline and cap, owns the
+    progress estimator, climbs the governor's memory ladder, and its
+    ``stop_reason`` is the reason the parent initiated. It searches
+    nothing itself, so its counters stay zero; the pool totals are the
+    driver's own ``emitted``, ``nodes`` and :meth:`stats`."""
 
     def __init__(
         self,
@@ -499,29 +479,15 @@ class _PoolDriver:
         self.options = options
         self.obs = options.obs or NULL_OBS
         self.checkpoint = checkpoint
-        self.monitor = monitor
         self.on_event = on_event
         self.prior_emitted = prior_emitted
         self.prior_counters = dict(prior_counters or {})
+        self.runtime = Runtime(physical, options)
         gov = options.governor
-        self.governor = gov
-        if gov is not None:
-            gov.ensure_tracing()
-            self.deadline = gov.effective_deadline(options.time_limit)
-            self.cap = gov.effective_cap(options.max_embeddings)
-            mem = gov.budget.memory_limit_mb
-        else:
-            self.deadline = (
-                time.perf_counter() + options.time_limit
-                if options.time_limit is not None
-                else None
-            )
-            self.cap = options.max_embeddings
-            mem = None
+        mem = gov.budget.memory_limit_mb if gov is not None else None
         self.worker_memory_mb = (
             mem / options.workers if mem is not None else None
         )
-        self.probe = _ParentProbe()
         # Unit table: id -> {payload, attempts, status, worker}. Status
         # lifecycle: pending -> queued -> started -> done | stopped; a
         # death or failure resets to pending (attempts capped).
@@ -552,17 +518,13 @@ class _PoolDriver:
         # Embeddings reserved by in-flight units under a cap: confirmed +
         # reserved never exceeds it (see _dispatch).
         self.reserved = 0
-        self.initiated: str | None = None
         self.worker_stops: set[str] = set()
         self.sentinels_sent = False
         self.stop_started: float | None = None
-        if self.obs.enabled:
-            self.estimator: ProgressEstimator | None = ProgressEstimator()
-            self.obs.attach_progress(self.estimator)
-        else:
-            self.estimator = None
         recorder = getattr(self.obs, "recorder", None)
         self.recorder = recorder if recorder is not None and recorder.enabled else None
+        if monitor is not None:
+            monitor.driver = self
 
     # -- unit/worker bookkeeping -------------------------------------
     def _add_unit(self, payload: dict) -> int:
@@ -605,7 +567,7 @@ class _PoolDriver:
                 _ResultPipe(writer),
                 self.cancel_event,
                 self.need_work,
-                self.deadline,
+                self.runtime.deadline,
                 self.worker_memory_mb,
             ),
             daemon=True,
@@ -652,19 +614,21 @@ class _PoolDriver:
             unit["reserve"] -= taken
             self.reserved -= taken
 
-    def merged_stats(self) -> dict:
+    def stats(self) -> dict:
         """Exact merged counters: the resumed prior plus every bank."""
         return merge_counters(
             self.prior_counters,
             *(agg["stats"] for agg in self.per_worker.values()),
         )
 
+    @property
     def degradation(self) -> list[str]:
-        """The furthest degradation ladder any worker reached."""
+        """The furthest degradation ladder the parent's Runtime or any
+        worker reached."""
         return list(max(
-            (agg["degradation"] for agg in self.per_worker.values()),
+            (self.runtime.degradation,
+             *(agg["degradation"] for agg in self.per_worker.values())),
             key=len,
-            default=[],
         ))
 
     def _release(self, uid: int) -> None:
@@ -675,25 +639,31 @@ class _PoolDriver:
             unit["reserve"] = 0
 
     def _initiate(self, reason: str) -> None:
-        """First fatal wins: record the pool's stop reason, trip the
-        shared cancel event, and begin the cooperative drain."""
-        if self.initiated is not None:
+        """First fatal wins: the Runtime takes the pool's stop reason
+        (its recorder note carries the pool totals), then trip the shared
+        cancel event and begin the cooperative drain."""
+        runtime = self.runtime
+        if runtime.stop_reason is not None:
             return
-        self.initiated = reason
+        runtime.stop_reason = reason
+        runtime.nodes, runtime.emitted = self.nodes, self.emitted
+        runtime.note_stop(reason)
         self.cancel_event.set()
         self.stop_started = time.perf_counter()
-        self._record("stop", reason=reason, nodes=self._total_nodes(),
-                     emitted=self._live_emitted())
         logger.info("pool stopping: %s (confirmed %d embeddings)",
                     reason, self.confirmed)
 
-    def _live_emitted(self) -> int:
+    # -- the pool totals PoolMonitor shows the inspector ---------------
+    @property
+    def emitted(self) -> int:
+        """Confirmed embeddings plus busy workers' unbanked progress."""
         return self.confirmed + sum(
             w["live_emitted"] for w in self.workers.values()
             if w["state"] == "busy"
         )
 
-    def _total_nodes(self) -> int:
+    @property
+    def nodes(self) -> int:
         banked = sum(
             int(agg["stats"].get("nodes", 0))
             for agg in self.per_worker.values()
@@ -703,6 +673,57 @@ class _PoolDriver:
             if w["state"] == "busy"
         )
         return banked + live + int(self.prior_counters.get("nodes", 0))
+
+    @property
+    def stop_reason(self) -> str | None:
+        return self.runtime.stop_reason
+
+    @property
+    def gov_stage(self) -> int:
+        return self.runtime.gov_stage
+
+    @property
+    def progress(self) -> ProgressEstimator | None:
+        return self.runtime.progress
+
+    def worker_rows(self) -> list[dict]:
+        now = time.perf_counter()
+        rows = []
+        for wid in self.worker_order:
+            worker = self.workers[wid]
+            agg = self._agg(wid)
+            rows.append(
+                {
+                    "worker": wid,
+                    "pid": worker["pid"],
+                    "state": worker["state"],
+                    "unit": worker["unit"],
+                    "units": agg["units"],
+                    "emitted": agg["emitted"] + worker["live_emitted"],
+                    "nodes": int(agg["stats"].get("nodes", 0))
+                    + worker["live_nodes"],
+                    "beats": worker["beats"],
+                    "beat_age": (
+                        round(now - worker["last_seen"], 2)
+                        if worker["state"] == "busy"
+                        else None
+                    ),
+                }
+            )
+        return rows
+
+    def health(self) -> dict:
+        ages = [
+            row["beat_age"] for row in self.worker_rows()
+            if row["beat_age"] is not None
+        ]
+        return {
+            "stall_timeout": self.stall_timeout,
+            "stall_kills": self.stall_kills,
+            "quarantined_units": len(self.quarantined),
+            "respawns_left": self.respawns_left,
+            "max_beat_age": max(ages, default=None),
+        }
 
     # -- message handling --------------------------------------------
     def _handle(self, msg: tuple) -> None:
@@ -773,10 +794,10 @@ class _PoolDriver:
                 if residual is not None:
                     unit["payload"] = residual
                 agg["stop_reasons"].append(stop_reason)
-                if self.initiated is None:
+                if not self._stopping():
                     # A worker-side budget stop is pool-fatal: first
                     # fatal wins. Cancelled echoes of our own initiation
-                    # never reach this branch (initiated is set first).
+                    # never reach this branch (our stop is set first).
                     self._initiate(stop_reason)
                 else:
                     self.worker_stops.add(stop_reason)
@@ -947,7 +968,7 @@ class _PoolDriver:
         )
 
     def _stopping(self) -> bool:
-        return self.initiated is not None
+        return self.runtime.stop_reason is not None
 
     def _dispatch(self) -> None:
         if self._stopping():
@@ -960,10 +981,11 @@ class _PoolDriver:
             if not self.pending:
                 break
             cap = None
-            if self.cap is not None:
+            limit = self.runtime.max_embeddings
+            if limit is not None:
                 # Reserve an equal share of the headroom for each idle
                 # worker left to serve; none left means wait for banks.
-                headroom = self.cap - self.confirmed - self.reserved
+                headroom = limit - self.confirmed - self.reserved
                 if headroom <= 0:
                     break
                 cap = -(-headroom // min(len(idle) - i, len(self.pending)))
@@ -993,27 +1015,22 @@ class _PoolDriver:
 
     # -- budgets / observability --------------------------------------
     def _check_budgets(self) -> None:
+        """Poll the Runtime's limits and the cap against the pool's live
+        total (the governor checks a tightened cap against ``emitted``)."""
         if self._stopping():
             return
-        if self.governor is not None:
-            self.probe.emitted = self._live_emitted()
-            reason = self.governor.check(self.probe)
-            if reason is not None:
-                self._initiate(reason)
-                return
-        if (
-            self.deadline is not None
-            and time.perf_counter() > self.deadline
-        ):
-            self._initiate(STOP_TIME_LIMIT)
-            return
-        if self.cap is not None and self._live_emitted() >= self.cap:
-            self._initiate(STOP_EMBEDDING_LIMIT)
+        runtime = self.runtime
+        runtime.emitted = self.emitted
+        reason = runtime.check_limits()
+        cap = runtime.max_embeddings
+        if reason is None and cap is not None and runtime.emitted >= cap:
+            reason = STOP_EMBEDDING_LIMIT
+        if reason is not None:
+            self._initiate(reason)
 
     def _observe(self) -> None:
-        emitted = self._live_emitted()
-        nodes = self._total_nodes()
-        if self.estimator is not None:
+        progress = self.runtime.progress
+        if progress is not None:
             total = len(self.units) or 1
             done = sum(
                 1 for u in self.units.values() if u["status"] == "done"
@@ -1023,57 +1040,12 @@ class _PoolDriver:
                 for w in self.workers.values()
                 if w["state"] == "busy"
             )
-            self.estimator.update((done + inflight) / total)
+            progress.update((done + inflight) / total)
         if self.obs.enabled and self.obs.heartbeat.enabled:
+            # A listening inspector samples the driver on this beat.
             self.obs.heartbeat.beat(
-                nodes, emitted, 0, phase="pool", progress=self.estimator
+                self.nodes, self.emitted, 0, phase="pool", progress=progress
             )
-        if self.monitor is not None:
-            self._refresh_monitor(emitted, nodes)
-
-    def _refresh_monitor(self, emitted: int, nodes: int) -> None:
-        runtime = self.monitor.runtime
-        runtime.emitted = emitted
-        runtime.nodes = nodes
-        runtime.stop_reason = self.initiated
-        runtime.progress = self.estimator
-        runtime._stats = self.merged_stats()
-        runtime.degradation = self.degradation()
-        rows = []
-        now = time.perf_counter()
-        ages = []
-        for wid in self.worker_order:
-            worker = self.workers[wid]
-            agg = self._agg(wid)
-            age = (
-                round(now - worker["last_seen"], 2)
-                if worker["state"] == "busy"
-                else None
-            )
-            if age is not None:
-                ages.append(age)
-            rows.append(
-                {
-                    "worker": wid,
-                    "pid": worker["pid"],
-                    "state": worker["state"],
-                    "unit": worker["unit"],
-                    "units": agg["units"],
-                    "emitted": agg["emitted"] + worker["live_emitted"],
-                    "nodes": int(agg["stats"].get("nodes", 0))
-                    + worker["live_nodes"],
-                    "beats": worker["beats"],
-                    "beat_age": age,
-                }
-            )
-        self.monitor._rows = rows
-        self.monitor._health = {
-            "stall_timeout": self.stall_timeout,
-            "stall_kills": self.stall_kills,
-            "quarantined_units": len(self.quarantined),
-            "respawns_left": self.respawns_left,
-            "max_beat_age": max(ages, default=None),
-        }
 
     # -- drive loop ----------------------------------------------------
     def _drain_results(self) -> None:
@@ -1177,14 +1149,13 @@ class _PoolDriver:
                 if worker["results"] is not None:
                     worker["results"].close()
                     worker["results"] = None
-            if self.governor is not None:
-                self.governor.release()
+            self.runtime.release()
         merged_stop = self._merged_stop()
         return merged_stop, time.perf_counter() - started
 
     def _merged_stop(self) -> str | None:
-        if self.initiated is not None:
-            return self.initiated
+        if self.runtime.stop_reason is not None:
+            return self.runtime.stop_reason
         if not self.worker_stops:
             return None
         return max(self.worker_stops, key=_STOP_SEVERITY.index)
@@ -1288,12 +1259,8 @@ def _package_result(
     merged = merge_run_reports(reports, workers=tags)
     if quarantined:
         merged["shards"]["quarantined_units"] = quarantined
-    stats = driver.merged_stats()
-    if driver.estimator is not None and merged_stop is None:
-        driver.estimator.complete()
-    progress = (
-        driver.estimator.as_dict() if driver.estimator is not None else None
-    )
+    stats = driver.stats()
+    progress = driver.runtime.progress_snapshot(complete=merged_stop is None)
     if obs.enabled:
         obs.counters.merge(stats)
     if driver.recorder is not None:
@@ -1312,7 +1279,7 @@ def _package_result(
         plan_seconds=max(0.0, plan.plan_seconds),
         compile_seconds=physical.compile_seconds,
         stop_reason=merged_stop,
-        degradation=list(merged["degradation"]),
+        degradation=driver.degradation,
         progress=progress,
         stats=stats,
         shards=merged["shards"],
@@ -1439,9 +1406,9 @@ def _maybe_checkpoint(
                 options,
                 unfinished,
                 driver.confirmed,
-                driver.merged_stats(),
+                driver.stats(),
                 merged_stop,
-                driver.degradation(),
+                driver.degradation,
             )
             driver._record(
                 "checkpoint", path=checkpoint.directory,

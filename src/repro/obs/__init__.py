@@ -57,10 +57,8 @@ from repro.obs.logconfig import JsonFormatter, configure_logging, resolve_level
 from repro.obs.merge import (
     SpanContext,
     WorkerSnapshot,
-    WorkUnit,
     merge_counters,
     merge_run_reports,
-    merge_worker_snapshots,
 )
 from repro.obs.metrics import (
     NULL_METRICS,
@@ -259,9 +257,7 @@ __all__ = [
     "write_perfetto",
     "SpanContext",
     "WorkerSnapshot",
-    "WorkUnit",
     "merge_counters",
-    "merge_worker_snapshots",
     "merge_run_reports",
     "Profiler",
     "NullProfiler",

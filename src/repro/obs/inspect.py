@@ -52,6 +52,7 @@ from typing import Any, Callable, Mapping
 
 from repro.errors import InspectorError, WireError
 from repro.obs.merge import WorkerSnapshot
+from repro.obs.report import run_counters
 from repro.obs.wire import (
     KNOWN_COMMANDS,
     MAX_FRAME_BYTES,
@@ -209,7 +210,10 @@ class MatchInspector:
         }
         governor = self.governor
         if governor is not None:
-            budget = governor.budget
+            # The limits the run enforces: each option folded with the
+            # governor's current budget, later tightenings included.
+            options = runtime.options
+            budget = governor.limits(options.time_limit, options.max_embeddings)
             status["budget"] = {
                 "time_limit": budget.time_limit,
                 "max_embeddings": budget.max_embeddings,
@@ -236,14 +240,7 @@ class MatchInspector:
                 for depth, count in sorted(heartbeat.depth_histogram.items())
             }
         stats = runtime.stats()
-        # Mirror build_run_report's counter block exactly (stats, then
-        # registry totals winning, then the heartbeat total), so a live
-        # `counters` read at finish equals the final run-report's.
-        counters = dict(stats)
-        registry = obs.counters
-        if registry.enabled:
-            counters = {**counters, **registry.snapshot()}
-        counters["heartbeats"] = heartbeat.beats
+        counters = run_counters(stats, obs)
         profiler = obs.profile
         hot = profiler.hot_clusters(_HOT_CLUSTERS) if profiler.enabled else []
         status["hot_clusters"] = hot

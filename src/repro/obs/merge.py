@@ -1,66 +1,42 @@
-"""Merge-ready multi-worker observability.
+"""Exact multi-worker merging of observability data.
 
-The ROADMAP's next tier distributes enumeration over workers as portable
-frame-stack work units (the checkpoint payload already makes a suspended
-search serializable); this module defines the observability contract that
-fan-out plugs into, before any process pool exists:
+The ``--workers N`` pool (:mod:`repro.engine.pool`) and the live
+inspector build on these pieces:
 
 * :func:`merge_counters` — the **exact, associative, commutative** merge
   of counter snapshots. Counters are plain integer (occasionally float)
   sums, so merging K worker snapshots in any order and grouping
   reproduces the single-process totals bit-for-bit (integer addition is
   associative and commutative; Hypothesis pins this in
-  ``tests/test_property_hypothesis.py``).
+  ``tests/test_property_hypothesis.py``). The pool banks every worker
+  delta through it.
 * :class:`WorkerSnapshot` — a worker-tagged, JSON-portable bundle of one
-  worker's counter registry and unified stats, with an optional
-  :class:`SpanContext` linking its spans to the coordinator's trace.
-* :class:`SpanContext` — serializable trace/parent-span identity. A
-  coordinator mints one root context, derives a child per work unit
-  (:meth:`SpanContext.child`), and ships it inside the unit; the worker's
-  spans then carry ``trace_id``/``parent_id`` attributes that stitch the
-  distributed trace back together.
-* :class:`WorkUnit` — a portable unit of work: an opaque frame-stack
-  payload (e.g. :meth:`repro.engine.executor.SearchState.to_payload`)
-  plus the worker tag and span context, round-trippable through JSON.
+  worker's counter registry and unified stats. Pool workers ship their
+  final stats delta in one; the inspector's ``stats``/``counters``
+  commands answer with one (the ``worker-snapshot`` wire manifest).
+* :class:`SpanContext` — serializable trace/parent-span identity, the
+  optional ``context`` field of a snapshot on the wire. Nothing mints
+  one today; the field round-trips so the wire format stays stable.
 * :func:`merge_run_reports` — N shard run-reports folded into one valid
   aggregate report with a ``shards`` block, so ``csce report`` renders a
   distributed run exactly like a local one.
 
-Everything here is pure data plumbing — no engine imports — so the future
-``--workers N`` front-end and the bench harness can both use it.
+Everything here is pure data plumbing, with no engine imports.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
-
-
-def _new_id(nbytes: int = 8) -> str:
-    return os.urandom(nbytes).hex()
+from typing import Mapping, Sequence
 
 
 @dataclass(frozen=True)
 class SpanContext:
-    """Serializable trace identity carried into portable work units."""
+    """Serializable trace identity: a snapshot's optional wire context."""
 
     trace_id: str
     span_id: str
     parent_id: str | None = None
-
-    @classmethod
-    def new_root(cls) -> "SpanContext":
-        """Mint a fresh root context (coordinator side)."""
-        return cls(trace_id=_new_id(16), span_id=_new_id())
-
-    def child(self) -> "SpanContext":
-        """Derive a child context: same trace, this span as the parent."""
-        return SpanContext(
-            trace_id=self.trace_id,
-            span_id=_new_id(),
-            parent_id=self.span_id,
-        )
 
     def to_dict(self) -> dict:
         payload: dict = {"trace_id": self.trace_id, "span_id": self.span_id}
@@ -79,14 +55,6 @@ class SpanContext:
                 else None
             ),
         )
-
-    def annotate(self, span: Any) -> None:
-        """Stamp this context onto a live :class:`~repro.obs.tracer.Span`
-        so the exported span tree carries the distributed identity."""
-        span.set("trace_id", self.trace_id)
-        span.set("span_id", self.span_id)
-        if self.parent_id is not None:
-            span.set("parent_id", self.parent_id)
 
 
 def merge_counters(*snapshots: Mapping[str, float]) -> dict[str, float]:
@@ -116,31 +84,11 @@ class WorkerSnapshot:
     stats: dict = field(default_factory=dict)
     context: SpanContext | None = None
     workers: tuple[str, ...] = ()
-    """Contributing worker tags; ``(worker,)`` for a leaf snapshot, the
-    union for a merged one."""
+    """Contributing worker tags; ``(worker,)`` unless given."""
 
     def __post_init__(self) -> None:
         if not self.workers:
             self.workers = (self.worker,)
-
-    @classmethod
-    def capture(
-        cls,
-        worker: str,
-        obs: Any = None,
-        result: Any = None,
-        context: SpanContext | None = None,
-    ) -> "WorkerSnapshot":
-        """Snapshot a finished run: the observation's counter registry
-        plus the result's unified stats."""
-        counters: dict = {}
-        if obs is not None:
-            registry = getattr(obs, "counters", None)
-            if registry is not None and registry.enabled:
-                counters = dict(registry.snapshot())
-        stats = dict(result.stats) if result is not None else {}
-        return cls(worker=worker, counters=counters, stats=stats,
-                   context=context)
 
     def to_dict(self) -> dict:
         payload: dict = {
@@ -162,50 +110,6 @@ class WorkerSnapshot:
             stats=dict(payload.get("stats", {})),
             context=SpanContext.from_dict(context) if context else None,
             workers=tuple(payload.get("workers", ())),
-        )
-
-
-def merge_worker_snapshots(
-    snapshots: Iterable[WorkerSnapshot], worker: str = "merged"
-) -> WorkerSnapshot:
-    """Fold worker snapshots into one (exact counter/stat sums)."""
-    snapshots = list(snapshots)
-    merged = WorkerSnapshot(
-        worker=worker,
-        counters=merge_counters(*(s.counters for s in snapshots)),
-        stats=merge_counters(*(s.stats for s in snapshots)),
-        workers=tuple(tag for s in snapshots for tag in s.workers),
-    )
-    return merged
-
-
-@dataclass
-class WorkUnit:
-    """A portable unit of search work: frame-stack payload + identity.
-
-    ``payload`` is opaque JSON data — typically a
-    ``SearchState.to_payload()`` snapshot or a checkpoint section — so
-    this module stays engine-agnostic. ``context`` ties the worker's
-    spans back to the coordinator's trace.
-    """
-
-    worker: str
-    payload: dict
-    context: SpanContext
-
-    def to_payload(self) -> dict:
-        return {
-            "worker": self.worker,
-            "payload": dict(self.payload),
-            "context": self.context.to_dict(),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "WorkUnit":
-        return cls(
-            worker=str(payload["worker"]),
-            payload=dict(payload["payload"]),
-            context=SpanContext.from_dict(payload["context"]),
         )
 
 

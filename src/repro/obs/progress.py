@@ -1,6 +1,6 @@
 """Search progress: heartbeats, percent-complete, and ETA estimation.
 
-The enumerator, the SCE counter, and the baseline matchers already pay for
+The executor's search loop and the baseline matchers already pay for
 a periodic tick every ``_TIME_CHECK_INTERVAL`` search nodes (the soft
 time-limit check). :class:`Heartbeat` piggybacks on exactly that tick: the
 hot loop calls :meth:`Heartbeat.beat` only on interval boundaries, the

@@ -127,6 +127,22 @@ def schema_problems(
     return problems
 
 
+def run_counters(stats: dict, obs: Any = None) -> dict:
+    """A run's counter block: ``stats``, then the observation's registry
+    totals winning where present, then the heartbeat total. The run-report
+    and the live inspector's ``counters`` sample both build it here, so a
+    live read at the run's end equals the final report's."""
+    counters = dict(stats)
+    if obs is not None:
+        registry = getattr(obs, "counters", None)
+        if registry is not None and registry.enabled:
+            counters = {**counters, **registry.snapshot()}
+        heartbeat = getattr(obs, "heartbeat", None)
+        if heartbeat is not None and heartbeat.enabled:
+            counters["heartbeats"] = heartbeat.beats
+    return counters
+
+
 def build_run_report(
     result: Any,
     engine: str = "CSCE",
@@ -153,20 +169,11 @@ def build_run_report(
     ``degradation`` are always present (``None`` / empty for complete
     ungoverned runs).
     """
-    counters = dict(result.stats)
+    counters = run_counters(result.stats, obs)
     spans: list[dict] = []
-    if obs is not None:
-        registry = getattr(obs, "counters", None)
-        if registry is not None and registry.enabled:
-            merged = registry.snapshot()
-            # Registry totals win where present; stats fills the gaps.
-            counters = {**counters, **merged}
-        tracer = getattr(obs, "tracer", None)
-        if tracer is not None and tracer.enabled:
-            spans = tracer.to_list()
-        heartbeat = getattr(obs, "heartbeat", None)
-        if heartbeat is not None and heartbeat.enabled:
-            counters["heartbeats"] = heartbeat.beats
+    tracer = getattr(obs, "tracer", None) if obs is not None else None
+    if tracer is not None and tracer.enabled:
+        spans = tracer.to_list()
     profiler = getattr(obs, "profile", None) if obs is not None else None
     recorder = getattr(obs, "recorder", None) if obs is not None else None
     stop_reason = getattr(result, "stop_reason", None)

@@ -24,8 +24,7 @@ introduced — wrapped by :func:`encode_snapshot` / :func:`decode_snapshot`
 with its own format/version stamp. The encoding is **lossless** (a
 Hypothesis property pins ``decode(encode(s)) == s``), so a coordinator
 can aggregate N live worker sockets with
-:func:`~repro.obs.merge.merge_counters` /
-:func:`~repro.obs.merge.merge_worker_snapshots` unchanged.
+:func:`~repro.obs.merge.merge_counters` unchanged.
 
 Pure data plumbing: no sockets, no threads, no engine imports — the
 transport lives in :mod:`repro.obs.inspect`.

@@ -246,6 +246,15 @@ class TestLiveInspection:
         assert len(percents) >= 2
         assert percents == sorted(percents)
 
+    def test_status_budget_reports_the_enforced_time_limit(self, live):
+        # The run's time limit came in as an option, not on the budget.
+        status = inspect_call(live.server.endpoint, "status")
+        assert status["budget"]["time_limit"] == 300.0
+        live.governor.tighten(time_limit=60.0)
+        live.drain()
+        status = inspect_call(live.server.endpoint, "status")
+        assert status["budget"]["time_limit"] == 60.0
+
     def test_counters_equal_the_final_run_report(self, live):
         _, result = live.drain()
         snap = decode_snapshot(inspect_call(live.server.endpoint, "counters"))

@@ -22,13 +22,14 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.core.csce import CSCE
 from repro.engine.checkpoint import load_quarantine_dir
-from repro.engine.governor import RetryPolicy
+from repro.engine.governor import Budget, ResourceGovernor, RetryPolicy
 from repro.engine.pool import PoolMonitor
 from repro.engine.results import STOP_QUARANTINED, STOP_REASONS
 from repro.errors import CheckpointError, ClusterReadError
 from repro.graph.patterns import CATALOG
 from repro.obs import Observation, build_run_report, validate_run_report
 from repro.obs.inspect import MatchInspector, render_top
+from repro.obs.wire import decode_snapshot
 from repro.obs.report import _STOP_REASONS, robustness_problems
 from repro.testing import faults
 
@@ -72,6 +73,18 @@ def poison_unit(unit_id):
     def action(rule, site, ctx):
         if ctx.get("unit") == unit_id:
             raise RuntimeError(f"injected poison in unit {unit_id}")
+
+    return action
+
+
+def parent_memory_pressure(mb):
+    """A governor.memory action adding pressure in the pool's parent
+    only: workers set REPRO_WORKER, so their ladders stay untouched."""
+
+    def action(rule, site, ctx):
+        if os.environ.get("REPRO_WORKER") is None:
+            return float(mb)
+        return None
 
     return action
 
@@ -235,6 +248,34 @@ class TestStallWatchdog:
         health = monitor.health()
         assert health["stall_timeout"] is None
         assert health["stall_kills"] == 0
+
+
+# ---------------------------------------------------------------------------
+# The parent's memory ladder: a pool suspends like a single-process run
+# ---------------------------------------------------------------------------
+class TestPoolMemoryLimit:
+    def test_parent_pressure_suspends_the_pool_with_its_ladder(
+        self, engine, reference
+    ):
+        obs = Observation(trace=True)
+        governor = ResourceGovernor(
+            Budget(memory_limit_mb=1000.0), obs=obs
+        )
+        injector = faults.FaultInjector(seed=3).on(
+            "governor.memory", parent_memory_pressure(10_000.0)
+        )
+        with injector:
+            result = engine.match(
+                CATALOG["path4"](), "homomorphic", count_only=True,
+                workers=2, governor=governor, obs=obs,
+            )
+        assert result.stop_reason == "memory_limit"
+        # The ladder the parent climbed is the result's, not dropped.
+        assert result.degradation == ["evict_memo", "disable_memo", "suspend"]
+        obs.finish(result)
+        report = build_run_report(result, engine="CSCE", obs=obs)
+        assert robustness_problems(report) == []
+        assert result.count <= reference
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +482,23 @@ class TestSupervisionSurfaces:
         assert {row["worker"] for row in payload["workers"]} == {"w0", "w1"}
         for row in payload["workers"]:
             assert set(row) == {"worker", "state", "unit", "beat_age"}
+
+    def test_pool_counters_equal_the_final_run_report(self, engine):
+        # The pool parent's own Runtime searches nothing; the counters
+        # the inspector serves must be the merged pool totals.
+        monitor = PoolMonitor()
+        obs = Observation(trace=False, heartbeat_interval=0.05)
+        inspector = MatchInspector(monitor, obs, worker="t").attach()
+        result = engine.match(
+            CATALOG["square"](), "homomorphic", count_only=True,
+            workers=2, obs=obs, pool_monitor=monitor,
+        )
+        inspector.finish(result)
+        snap = decode_snapshot(inspector.handle("counters"))
+        report = build_run_report(result, engine="CSCE", obs=obs)
+        assert snap.counters == report["counters"]
+        assert snap.stats == dict(result.stats)
+        assert inspector.handle("status")["emitted"] == result.count
 
     def test_render_top_shows_supervision_line(self):
         status = {
