@@ -42,7 +42,7 @@ import json
 import os
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.engine.executor import EmbeddingStream, SearchState, specialize
 from repro.engine.results import STOP_QUARANTINED, MatchOptions
@@ -87,10 +87,7 @@ WIRE_MANIFESTS: dict[str, dict] = {
             "progress",
             "state",
         ),
-        "encoders": (
-            "checkpoint_payload",
-            "PoolCheckpointDir.write:payload",
-        ),
+        "encoders": ("base_sections",),
         "decoders": (
             "validate_checkpoint",
             "decode_checkpoints:doc",
@@ -158,11 +155,19 @@ def base_sections(
     variant: Variant | str,
     planner: str,
     options: MatchOptions,
+    *,
+    state: dict,
+    emitted: int = 0,
+    stop_reason: str | None = None,
+    degradation: Iterable[str] = (),
+    counters: dict | None = None,
 ) -> dict:
-    """The query-identity sections every checkpoint document shares —
-    format/version header, pattern and store guards, query, limits.
-    Shared by the single-stream serializer below and the pool's per-shard
-    writer (:class:`PoolCheckpointDir`)."""
+    """Build one checkpoint document: the format/version header, pattern
+    and store guards, query, limits, the confirmed progress and the unit
+    ``state``. The only builder — the single-stream serializer below, the
+    pool's shard writer and its quarantine writer
+    (:class:`PoolCheckpointDir`) all call it, so the ``checkpoint``
+    manifest's key set is checked against every document written."""
     from repro.graph.io import format_graph_text, parse_graph_text
 
     # Digest the *re-parsed* text so the guard survives the label
@@ -195,6 +200,13 @@ def base_sections(
             "max_embeddings": options.max_embeddings,
             "time_limit": options.time_limit,
         },
+        "progress": {
+            "emitted": emitted,
+            "stop_reason": stop_reason,
+            "degradation": list(degradation),
+            "counters": dict(counters or {}),
+        },
+        "state": state,
     }
 
 
@@ -209,23 +221,17 @@ def checkpoint_payload(
     document. The stream must not be iterated afterwards (the state
     snapshot aliases its live frame stack)."""
     runtime = stream.runtime
-    options = stream.options
-    return {
-        **base_sections(store, pattern, variant, planner, options),
-        "progress": {
-            "emitted": runtime.emitted,
-            "stop_reason": runtime.stop_reason,
-            "degradation": list(runtime.degradation),
-            "counters": {
-                **{k: getattr(runtime, k) for k in _RUNTIME_COUNTERS},
-                **{
-                    k: getattr(runtime.computer.stats, k)
-                    for k in _CANDIDATE_COUNTERS
-                },
-            },
-        },
-        "state": stream.state.to_payload(),
-    }
+    counters = {k: getattr(runtime, k) for k in _RUNTIME_COUNTERS}
+    for k in _CANDIDATE_COUNTERS:
+        counters[k] = getattr(runtime.computer.stats, k)
+    return base_sections(
+        store, pattern, variant, planner, stream.options,
+        state=stream.state.to_payload(),
+        emitted=runtime.emitted,
+        stop_reason=runtime.stop_reason,
+        degradation=runtime.degradation,
+        counters=counters,
+    )
 
 
 def _write_json_atomic(path: str | os.PathLike, payload: dict) -> None:
@@ -671,22 +677,17 @@ class PoolCheckpointDir:
         written paths. ``emitted``/``counters`` are the pool's *confirmed*
         completed totals (attached to shard 0)."""
         os.makedirs(self.directory, exist_ok=True)
-        base = base_sections(
-            self.store, self.pattern, self.variant, self.planner, options
-        )
         self.written = []
         for i, state_payload in enumerate(units):
             path = os.path.join(self.directory, f"shard-{i:04d}.json")
-            payload = {
-                **base,
-                "progress": {
-                    "emitted": emitted if i == 0 else 0,
-                    "stop_reason": stop_reason,
-                    "degradation": list(degradation) if i == 0 else [],
-                    "counters": dict(counters) if i == 0 else {},
-                },
-                "state": state_payload,
-            }
+            first = i == 0
+            payload = base_sections(
+                self.store, self.pattern, self.variant, self.planner,
+                options, state=state_payload, stop_reason=stop_reason,
+                emitted=emitted if first else 0,
+                degradation=degradation if first else (),
+                counters=counters if first else None,
+            )
             _write_json_atomic(path, payload)
             self.written.append(path)
         return self.written
@@ -714,15 +715,10 @@ class PoolCheckpointDir:
         )
         payload = {
             **base_sections(
-                self.store, self.pattern, self.variant, self.planner, options
+                self.store, self.pattern, self.variant, self.planner,
+                options, state=dict(state_payload),
+                stop_reason=STOP_QUARANTINED,
             ),
-            "progress": {
-                "emitted": 0,
-                "stop_reason": STOP_QUARANTINED,
-                "degradation": [],
-                "counters": {},
-            },
-            "state": dict(state_payload),
             "quarantine": {
                 "unit": int(unit),
                 "attempts": int(attempts),

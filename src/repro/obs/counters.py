@@ -44,7 +44,7 @@ STAT_KEYS: tuple[str, ...] = (
 #: Every registry counter name bumped outside the unified stats fold —
 #: the dotted subsystem counters (``ccsr.*``, ``plan_cache.*``,
 #: ``continuous.*``) and the governor's degradation events. The
-#: ``obs_keys`` reprolint pass checks every ``.inc()``/``._count()``
+#: ``registry_literals`` reprolint pass checks every ``.inc()``/``._count()``
 #: string literal against ``STAT_KEYS`` + this tuple, so a new counter
 #: name must be registered here before the code bumping it can land.
 KNOWN_COUNTERS: tuple[str, ...] = (

@@ -111,7 +111,7 @@ class MatchInspector:
     """
 
     #: Command-name → handler-method registry. Keys are pinned against
-    #: :data:`~repro.obs.wire.KNOWN_COMMANDS` by the ``inspector_commands``
+    #: :data:`~repro.obs.wire.KNOWN_COMMANDS` by the ``registry_literals``
     #: reprolint pass and a test; drift fails lint, not a live attach.
     HANDLERS: dict[str, str] = {
         "status": "_cmd_status",
@@ -208,17 +208,8 @@ class MatchInspector:
             "beats": heartbeat.beats,
             "clients": clients,
         }
-        governor = self.governor
-        if governor is not None:
-            # The limits the run enforces: each option folded with the
-            # governor's current budget, later tightenings included.
-            options = runtime.options
-            budget = governor.limits(options.time_limit, options.max_embeddings)
-            status["budget"] = {
-                "time_limit": budget.time_limit,
-                "max_embeddings": budget.max_embeddings,
-                "memory_limit_mb": budget.memory_limit_mb,
-            }
+        if self.governor is not None:
+            status["budget"] = self._enforced_budget()
         if self.last_checkpoint is not None:
             status["checkpoint"] = dict(self.last_checkpoint)
         worker_rows = getattr(self.stream, "worker_rows", None)
@@ -384,9 +375,18 @@ class MatchInspector:
                 "budget needs at least one of time_limit=,"
                 " max_embeddings=, memory_limit_mb="
             )
-        budget = governor.tighten(**tightened)
+        governor.tighten(**tightened)
+        return {"tightened": tightened, **self._enforced_budget()}
+
+    def _enforced_budget(self) -> dict:
+        """The limits the run enforces: each option folded with the
+        governor's current budget, later tightenings included. Both
+        ``status.budget`` and the ``budget`` reply report it."""
+        options = self.stream.runtime.options
+        budget = self.governor.limits(
+            options.time_limit, options.max_embeddings
+        )
         return {
-            "tightened": tightened,
             "time_limit": budget.time_limit,
             "max_embeddings": budget.max_embeddings,
             "memory_limit_mb": budget.memory_limit_mb,

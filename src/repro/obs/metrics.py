@@ -44,9 +44,9 @@ DEFAULT_BUCKETS = (0.001, 0.004, 0.016, 0.064, 0.256, 1.024, 4.096, 16.384)
 
 #: Every metric name created by literal in this codebase (the dotted
 #: counter names folded in by :meth:`MetricsRegistry.sample_counters` are
-#: dynamic and not listed). The ``obs_keys`` reprolint pass checks every
-#: ``.gauge()``/``.counter()``/``.histogram()`` string literal against
-#: this tuple, so a new time series must be registered here first.
+#: dynamic and not listed). The ``registry_literals`` reprolint pass checks
+#: every ``.gauge()``/``.counter()``/``.histogram()`` string literal
+#: against this tuple, so a new time series must be registered here first.
 KNOWN_METRICS: tuple[str, ...] = (
     "heartbeat_beats",
     "read_seconds",

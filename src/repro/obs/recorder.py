@@ -22,8 +22,8 @@ The recorder is dumped three ways:
   same ``time.perf_counter`` timeline, loadable in ``ui.perfetto.dev`` or
   ``chrome://tracing``.
 
-Event names are a closed registry (:data:`KNOWN_EVENTS`): the ``obs_keys``
-reprolint pass checks every ``.record()`` string literal against it, so a
+Event names are a closed registry (:data:`KNOWN_EVENTS`): the
+``registry_literals`` reprolint pass checks every ``.record()`` string literal against it, so a
 typo'd event name fails lint instead of silently fragmenting the stream.
 """
 
@@ -35,8 +35,8 @@ import time
 from collections import deque
 from typing import Any
 
-#: Every event name recorded by literal in this codebase. The ``obs_keys``
-#: reprolint pass gates ``.record()`` string literals against this tuple,
+#: Every event name recorded by literal in this codebase. The
+#: ``registry_literals`` reprolint pass gates ``.record()`` string literals against this tuple,
 #: so a new event type must be registered here before the code emitting it
 #: can land.
 KNOWN_EVENTS: tuple[str, ...] = (

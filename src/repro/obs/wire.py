@@ -14,7 +14,7 @@ the transport provides (a unix-domain socket, a TCP loopback socket — see
 
 Command names are a **closed registry** (:data:`KNOWN_COMMANDS`), the
 same pattern as ``STAT_KEYS`` / ``KNOWN_EVENTS``: the
-``inspector_commands`` reprolint pass gates every command-name literal in
+``registry_literals`` reprolint pass gates every command-name literal in
 the codebase against this tuple, so a typo'd command fails lint instead
 of failing at attach time.
 
@@ -80,7 +80,7 @@ WIRE_MANIFESTS: dict[str, dict] = {
 }
 
 #: Every command the inspector serves, in documentation order. Closed
-#: registry: the ``inspector_commands`` reprolint pass checks command
+#: registry: the ``registry_literals`` reprolint pass checks command
 #: literals against this tuple, and ``MatchInspector.HANDLERS`` must map
 #: exactly these names (pinned by a test).
 KNOWN_COMMANDS: tuple[str, ...] = (

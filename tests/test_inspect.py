@@ -255,6 +255,18 @@ class TestLiveInspection:
         status = inspect_call(live.server.endpoint, "status")
         assert status["budget"]["time_limit"] == 60.0
 
+    def test_budget_reply_equals_status_budget(self, live):
+        # Tightening only the cap must not hide the run's own time limit.
+        reply = inspect_call(
+            live.server.endpoint, "budget", {"max_embeddings": 10}
+        )
+        assert reply.pop("tightened") == {"max_embeddings": 10}
+        assert reply["time_limit"] == 300.0
+        assert reply["max_embeddings"] == 10
+        live.drain()
+        status = inspect_call(live.server.endpoint, "status")
+        assert reply == status["budget"]
+
     def test_counters_equal_the_final_run_report(self, live):
         _, result = live.drain()
         snap = decode_snapshot(inspect_call(live.server.endpoint, "counters"))

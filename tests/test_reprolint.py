@@ -11,6 +11,8 @@ Each pass is exercised two ways:
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -49,17 +51,14 @@ def run_fixture(pass_name: str, fixture: str):
 def test_every_pass_registered():
     assert set(ALL_PASSES) == {
         "api_all",
-        "checkpoint_fields",
         "clock_discipline",
         "exception_flow",
         "fork_safety",
-        "inspector_commands",
         "layering",
         "message_protocol",
         "no_recursion",
-        "obs_keys",
+        "registry_literals",
         "signal_safety",
-        "stop_reasons",
         "wire_schema",
     }
 
@@ -99,34 +98,28 @@ def test_no_recursion_fixture_flagged():
     assert "iterative" not in flagged
 
 
-def test_obs_keys_fixture_flagged():
-    violations = run_fixture("obs_keys", "obs_keys.py")
-    messages = " ".join(v.message for v in violations)
-    assert "ccsr.bytes_red" in messages  # counter typo
-    assert "reed_seconds" in messages  # metric typo
-    assert "'degrad'" in messages  # recorder event typo
-    # The fixture's clean literals (STAT_KEYS / KNOWN_COUNTERS /
-    # KNOWN_METRICS / KNOWN_EVENTS members) are not flagged.
-    assert "plan_cache.hits" not in messages
-    assert "embeddings" not in messages
-    assert "'degrade'" not in messages
-    assert len(violations) == 3
+#: registry_literals fixture -> {line: seeded literal}. Every other
+#: literal in a fixture sits on a clean line and must not be flagged.
+REGISTRY_LITERAL_CASES = {
+    # .inc() counter, .gauge() metric, .record() event typos.
+    "obs_keys": {6: "ccsr.bytes_red", 9: "reed_seconds", 11: "degrad"},
+    # stop_reason assigned, compared with, passed as a keyword.
+    "stop_reasons": {6: "time-limit", 7: "memory", 11: "emb_limit"},
+    # .request()/.handle() commands and a HANDLERS key.
+    "inspector_commands": {
+        6: "stauts", 8: "shutdown", 9: "progres", 15: "cancel-all",
+    },
+    # A counter carried across suspend/resume outside STAT_KEYS.
+    "checkpoint_fields": {8: "node_visits"},
+}
 
 
-def test_stop_reasons_fixture_flagged():
-    violations = run_fixture("stop_reasons", "stop_reasons.py")
-    flagged = {v.message.split("'")[1] for v in violations}
-    assert flagged == {"time-limit", "memory", "emb_limit"}
-    # The canonical member on the clean line is not flagged.
-    assert "cancelled" not in flagged
-
-
-def test_checkpoint_fields_fixture_flagged():
-    violations = run_fixture("checkpoint_fields", "checkpoint_fields.py")
-    messages = " ".join(v.message for v in violations)
-    assert "progress" in messages  # dropped document key
-    assert "extra" in messages  # added document key
-    assert "node_visits" in messages  # non-STAT_KEYS counter
+@pytest.mark.parametrize("fixture", sorted(REGISTRY_LITERAL_CASES))
+def test_registry_literals_fixture_flagged(fixture):
+    violations = run_fixture("registry_literals", f"{fixture}.py")
+    flagged = {v.line: v.message.split("'")[1] for v in violations}
+    assert flagged == REGISTRY_LITERAL_CASES[fixture]
+    assert len(violations) == len(flagged)
 
 
 def test_clock_discipline_fixture_flagged():
@@ -136,21 +129,6 @@ def test_clock_discipline_fixture_flagged():
     assert "time.time()" in messages
     # Both the plain and the from-import alias wall-clock reads.
     assert sum("time.time()" in v.message for v in violations) == 2
-
-
-def test_inspector_commands_fixture_flagged():
-    violations = run_fixture("inspector_commands", "inspector_commands.py")
-    messages = " ".join(v.message for v in violations)
-    assert "'stauts'" in messages  # .request() typo
-    assert "'shutdown'" in messages  # never-registered command
-    assert "'progres'" in messages  # .handle() typo
-    assert "'cancel-all'" in messages  # HANDLERS key not registered
-    # The fixture's clean literals (KNOWN_COMMANDS members) are not
-    # flagged — neither as call args nor as HANDLERS keys.
-    assert "'status'" not in messages
-    assert "'cancel'" not in messages
-    assert "'progress'" not in messages
-    assert len(violations) == 4
 
 
 def test_fork_safety_fixture_flagged():
@@ -259,8 +237,30 @@ def test_signal_safety_fixture_flagged():
 # ---------------------------------------------------------------------------
 # Live tree: the repository itself is clean
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("pass_name", ALL_PASSES)
-def test_live_tree_clean(pass_name):
+#: Row groups of registry_literals' TABLE (by the diagnostic noun each
+#: row uses), each also linted on its own so a live-tree failure names
+#: the contract it breaks.
+REGISTRY_ROW_GROUPS = {
+    "obs_keys": {"counter", "metric", "recorder event"},
+    "stop_reasons": {"stop_reason"},
+    "inspector_commands": {"inspector command", "HANDLERS key"},
+}
+
+
+@pytest.mark.parametrize(
+    "pass_name", sorted([*ALL_PASSES, *REGISTRY_ROW_GROUPS])
+)
+def test_live_tree_clean(pass_name, monkeypatch):
+    if pass_name in REGISTRY_ROW_GROUPS:
+        from tools.reprolint.passes import registry_literals
+
+        rows = tuple(
+            row for row in registry_literals.TABLE
+            if row.what in REGISTRY_ROW_GROUPS[pass_name]
+        )
+        assert {row.what for row in rows} == REGISTRY_ROW_GROUPS[pass_name]
+        monkeypatch.setattr(registry_literals, "TABLE", rows)
+        pass_name = "registry_literals"
     ctx = LintContext(root=REPO)
     violations = run_passes(ctx, select=[pass_name])
     assert violations == [], "\n".join(v.render() for v in violations)
@@ -269,8 +269,19 @@ def test_live_tree_clean(pass_name):
 # ---------------------------------------------------------------------------
 # CLI exit codes
 # ---------------------------------------------------------------------------
-def test_cli_exit_zero_on_clean_tree():
-    assert reprolint_main([]) == 0
+@pytest.fixture(scope="module")
+def clean_tree_sarif():
+    """One full-tree ``--sarif`` lint shared by the clean-tree tests: the
+    exit code comes from the same place in plain and --sarif runs."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = reprolint_main(["--sarif"])
+    return code, json.loads(out.getvalue())
+
+
+def test_cli_exit_zero_on_clean_tree(clean_tree_sarif):
+    code, _ = clean_tree_sarif
+    assert code == 0
 
 
 def test_cli_exit_one_on_bad_fixture(capsys):
@@ -288,13 +299,15 @@ def test_cli_exit_two_on_missing_path(capsys):
 
 def test_cli_json_output(capsys):
     code = reprolint_main(
-        ["--json", "--select", "stop_reasons",
+        ["--json", "--select", "registry_literals",
          str(FIXTURES / "stop_reasons.py")]
     )
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["violations"]
-    assert all(v["pass"] == "stop_reasons" for v in payload["violations"])
+    assert all(
+        v["pass"] == "registry_literals" for v in payload["violations"]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +340,57 @@ def test_wire_schema_catches_dropped_checkpoint_key(tmp_path):
     for v in violations:
         assert v.path == str(mutated)
         assert v.line > 0
+
+
+CHECKPOINT_SOURCE = REPO / "src" / "repro" / "engine" / "checkpoint.py"
+STATE_LINE = '        "state": state,\n'
+
+
+def test_wire_schema_catches_dropped_checkpoint_state(tmp_path):
+    """Every checkpoint document comes from one builder, which is the
+    manifest's only encoder: dropping ``state`` from it is flagged on
+    both manifests, not hidden by another writer that still emits it."""
+    source = CHECKPOINT_SOURCE.read_text()
+    assert source.count(STATE_LINE) == 1, "drift-demo anchor line moved"
+    mutated = tmp_path / "checkpoint_drift.py"
+    mutated.write_text(source.replace(STATE_LINE, ""))
+
+    violations = run_on_file("wire_schema", mutated)
+    assert len(violations) == 2
+    assert all("'state'" in v.message for v in violations)
+    messages = " ".join(v.message for v in violations)
+    assert "manifest 'checkpoint'" in messages
+    assert "manifest 'quarantine-residue'" in messages
+
+
+def test_diff_flags_unbumped_checkpoint_key():
+    """Adding a top-level key to the live checkpoint document (manifests
+    and builder agree, so wire_schema alone is clean) needs a version
+    bump: --diff flags it at the same CHECKPOINT_VERSION, not after."""
+    import ast
+
+    from tools.reprolint.passes import wire_schema
+
+    source = CHECKPOINT_SOURCE.read_text()
+    manifest_state = '            "state",\n'
+    assert source.count(manifest_state) == 2  # both manifests
+    grown = source.replace(
+        manifest_state, manifest_state + '            "extra",\n'
+    ).replace(STATE_LINE, STATE_LINE + '        "extra": {},\n')
+    bumped = grown.replace("CHECKPOINT_VERSION = 1", "CHECKPOINT_VERSION = 2")
+    assert bumped != grown
+
+    ctx = LintContext(root=REPO, explicit_paths=[CHECKPOINT_SOURCE])
+    drift = wire_schema.diff_violations(
+        ctx, CHECKPOINT_SOURCE, ast.parse(source), ast.parse(grown)
+    )
+    assert {v.message.split("'")[1] for v in drift} == {
+        "checkpoint", "quarantine-residue",
+    }
+    assert all("added 'extra'" in v.message for v in drift)
+    assert wire_schema.diff_violations(
+        ctx, CHECKPOINT_SOURCE, ast.parse(source), ast.parse(bumped)
+    ) == []
 
 
 def test_message_protocol_catches_unregistered_send(tmp_path):
@@ -413,9 +477,8 @@ def test_sarif_output_structure(capsys):
         assert loc["region"]["startLine"] > 0
 
 
-def test_sarif_clean_tree_empty_results(capsys):
-    assert reprolint_main(["--sarif"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+def test_sarif_clean_tree_empty_results(clean_tree_sarif):
+    _, doc = clean_tree_sarif
     assert doc["runs"][0]["results"] == []
 
 

@@ -1,12 +1,13 @@
 """reprolint: AST-based invariant passes for this repository.
 
 The codebase is held together by contracts that ordinary linters cannot
-see: the iterative engine must stay recursion-free, every counter/metric
-name must exist in a registry, ``stop_reason`` strings must be members of
-``STOP_REASONS``, the checkpoint document must track
-``CHECKPOINT_VERSION``, and the engine layer must never import the CLI.
-Each contract is one *pass* here — a small AST (or subprocess) check with
-its own known-bad fixture under ``tools/reprolint/fixtures/``.
+see: the iterative engine must stay recursion-free, every string-keyed
+name (counter, metric, event, inspector command, ``stop_reason``) must
+exist in its registry (``registry_literals``), every versioned document
+must match its wire manifest (``wire_schema``), and the engine layer must
+never import the CLI. Each contract is one *pass* here — a small AST (or
+subprocess) check with known-bad fixtures under
+``tools/reprolint/fixtures/``.
 
 Usage::
 

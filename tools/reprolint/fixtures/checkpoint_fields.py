@@ -1,26 +1,9 @@
-"""Known-bad fixture for the checkpoint_fields pass: the payload dropped
-the 'progress' section and grew an unversioned 'extra' section without
-bumping CHECKPOINT_VERSION; a carried counter is not a STAT_KEYS member."""
-
-CHECKPOINT_FORMAT = "repro-checkpoint"
-CHECKPOINT_VERSION = 1
+"""Known-bad fixture for the registry_literals pass: a counter carried
+across suspend/resume that is not a STAT_KEYS member. (The document keys
+are frozen by the checkpoint wire manifest; see the wire_schema pass.)"""
 
 _RUNTIME_COUNTERS = (
     "nodes",
     "backtracks",
     "node_visits",  # violation: not a STAT_KEYS member
 )
-
-
-def checkpoint_payload(stream, store, pattern, variant, planner):
-    return {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "pattern": {},
-        "store": {},
-        "query": {},
-        "limits": {},
-        # violation: 'progress' missing, 'extra' added, version not bumped
-        "extra": {},
-        "state": {},
-    }

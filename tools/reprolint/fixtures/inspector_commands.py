@@ -1,5 +1,5 @@
-"""Known-bad fixture for the inspector_commands pass: command literals
-that exist in no registry (typos and never-registered commands)."""
+"""Known-bad fixture for the registry_literals pass: inspector command
+literals that exist in no registry (typos and never-registered commands)."""
 
 
 def poke(client, inspector):

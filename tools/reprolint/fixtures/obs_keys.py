@@ -1,5 +1,5 @@
-"""Known-bad fixture for the obs_keys pass: counter, metric, and recorder
-event literals that exist in no registry (typos of real names)."""
+"""Known-bad fixture for the registry_literals pass: counter, metric and
+recorder event literals that exist in no registry (typos of real names)."""
 
 
 def record(counters, registry, recorder, bytes_read):

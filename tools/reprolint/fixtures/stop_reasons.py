@@ -1,5 +1,5 @@
-"""Known-bad fixture for the stop_reasons pass: raw literals that are not
-STOP_REASONS members, in each flagged position."""
+"""Known-bad fixture for the registry_literals pass: stop_reason literals
+that are not STOP_REASONS members, in each flagged position."""
 
 
 def finish(runtime, result, make_result):

@@ -2,22 +2,21 @@
 
 Add a new pass by creating a module here with a ``@register``-decorated
 :class:`~tools.reprolint.LintPass` subclass, importing it below, and
-dropping a known-bad snippet in ``tools/reprolint/fixtures/<name>.py``
-(covered automatically by ``tests/test_reprolint.py``).
+dropping a known-bad snippet under ``tools/reprolint/fixtures/`` with a
+test in ``tests/test_reprolint.py`` that pins what it flags. (A check of
+the form "a literal in position P is a member of registry R" is a row of
+``registry_literals.TABLE``, not a new pass.)
 """
 
 from tools.reprolint.passes import (  # noqa: F401  (registration side effect)
     api_all,
-    checkpoint_fields,
     clock_discipline,
     exception_flow,
     fork_safety,
-    inspector_commands,
     layering,
     message_protocol,
     no_recursion,
-    obs_keys,
+    registry_literals,
     signal_safety,
-    stop_reasons,
     wire_schema,
 )
